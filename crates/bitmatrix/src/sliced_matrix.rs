@@ -1,8 +1,11 @@
 //! Whole-matrix sliced storage: every row and column of the (oriented)
 //! adjacency matrix in compressed sliced form.
 
+use std::cell::RefCell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::error::{BitMatrixError, Result};
 use crate::row::{EncodingPolicy, RowEncoding, SlicedRow};
@@ -20,9 +23,111 @@ static MATRICES_BUILT: AtomicU64 = AtomicU64::new(0);
 /// Slicing is the expensive preparation step of the TCIM pipeline;
 /// callers that cache prepared matrices can read this counter before and
 /// after a workload to *prove* the cache prevented re-slicing rather
-/// than assume it. Monotone, never reset.
+/// than assume it. Monotone, never reset. Being process-wide, it also
+/// counts builds made concurrently by unrelated threads; a caller that
+/// shares the process with other work counts its own builds with a
+/// [`BuildScope`] instead.
 pub fn matrices_built() -> u64 {
     MATRICES_BUILT.load(Ordering::Relaxed)
+}
+
+thread_local! {
+    /// The build scopes entered on this thread, outermost first.
+    static ACTIVE_SCOPES: RefCell<Vec<BuildScope>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A scoped [`SlicedMatrix`] build counter: counts exactly the builds
+/// made on threads where the scope is entered, so one owner can prove
+/// "nothing re-sliced" while other threads of the process build
+/// matrices concurrently.
+///
+/// Scopes are entered per thread ([`BuildScope::enter`]). Fan-out
+/// helpers that run an owner's work on worker threads carry the caller's
+/// scopes along ([`BuildScope::active`] on the caller, then
+/// [`BuildScope::enter_all`] on each worker), so work moved onto a
+/// worker is still counted.
+///
+/// # Example
+///
+/// ```
+/// use tcim_bitmatrix::{BuildScope, SliceSize, SlicedMatrix};
+///
+/// let scope = BuildScope::new();
+/// {
+///     let _counting = scope.enter();
+///     SlicedMatrix::from_adjacency(&[vec![1], vec![]], SliceSize::S64)?;
+/// }
+/// // Built after the guard dropped: not counted.
+/// SlicedMatrix::from_adjacency(&[vec![1], vec![]], SliceSize::S64)?;
+/// assert_eq!(scope.builds(), 1);
+/// # Ok::<(), tcim_bitmatrix::BitMatrixError>(())
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct BuildScope {
+    builds: Arc<AtomicU64>,
+}
+
+impl BuildScope {
+    /// A fresh scope with a zero count.
+    pub fn new() -> Self {
+        BuildScope::default()
+    }
+
+    /// Matrices built on threads where this scope was entered.
+    pub fn builds(&self) -> u64 {
+        self.builds.load(Ordering::Relaxed)
+    }
+
+    /// Counts this thread's builds into the scope until the guard drops.
+    pub fn enter(&self) -> BuildScopeGuard {
+        BuildScope::enter_all(std::slice::from_ref(self))
+    }
+
+    /// The scopes entered on the calling thread — what a fan-out helper
+    /// captures before handing work to worker threads.
+    pub fn active() -> Vec<BuildScope> {
+        ACTIVE_SCOPES.with(|active| active.borrow().clone())
+    }
+
+    /// Enters every scope in `scopes` on this thread (scopes already
+    /// entered here are not entered twice, so no build is counted
+    /// twice) until the guard drops.
+    pub fn enter_all(scopes: &[BuildScope]) -> BuildScopeGuard {
+        ACTIVE_SCOPES.with(|active| {
+            let mut active = active.borrow_mut();
+            let depth = active.len();
+            for scope in scopes {
+                if !active.iter().any(|a| Arc::ptr_eq(&a.builds, &scope.builds)) {
+                    active.push(scope.clone());
+                }
+            }
+            BuildScopeGuard { depth, _thread_bound: PhantomData }
+        })
+    }
+
+    fn record_build() {
+        ACTIVE_SCOPES.with(|active| {
+            for scope in active.borrow().iter() {
+                scope.builds.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    }
+}
+
+/// Leaves the scopes a [`BuildScope::enter`] / [`BuildScope::enter_all`]
+/// call entered. Bound to the thread that entered them; guards drop in
+/// reverse order of entry, as lexical scoping does.
+#[derive(Debug)]
+#[must_use = "the scope is left as soon as the guard drops"]
+pub struct BuildScopeGuard {
+    depth: usize,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for BuildScopeGuard {
+    fn drop(&mut self) {
+        ACTIVE_SCOPES.with(|active| active.borrow_mut().truncate(self.depth));
+    }
 }
 
 /// Aggregate slicing statistics for a [`SlicedMatrix`] — the quantities
@@ -187,6 +292,7 @@ impl SlicedMatrix {
         let (rows, cols) = (wrap(dense_rows), wrap(dense_cols));
 
         MATRICES_BUILT.fetch_add(1, Ordering::Relaxed);
+        BuildScope::record_build();
         Ok(SlicedMatrix { n, slice_size, encoding, rows, cols, edges })
     }
 
@@ -566,6 +672,33 @@ mod tests {
         let _ = fig2();
         let _ = SlicedMatrix::from_adjacency(&[], SliceSize::S64).unwrap();
         assert!(matrices_built() >= before + 2);
+    }
+
+    #[test]
+    fn build_scopes_count_their_own_thread_and_carried_workers_only() {
+        let scope = BuildScope::new();
+        let guard = scope.enter();
+        let _ = fig2();
+        // A worker that re-enters the captured scopes is counted; one
+        // that does not is not.
+        let active = BuildScope::active();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _carried = BuildScope::enter_all(&active);
+                let _ = fig2();
+            });
+            s.spawn(|| {
+                let _ = fig2();
+            });
+        });
+        // Re-entering an active scope does not double-count.
+        let nested = scope.enter();
+        let _ = fig2();
+        drop(nested);
+        drop(guard);
+        let _ = fig2();
+        assert_eq!(scope.builds(), 3);
+        assert!(BuildScope::active().is_empty());
     }
 
     #[test]

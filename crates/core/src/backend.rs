@@ -24,6 +24,7 @@ use tcim_sched::{SchedPolicy, ScheduledReport, ScheduledRun};
 use crate::error::{CoreError, Result};
 use crate::motifs::{self, MotifFlavor, MotifPricing};
 use crate::pipeline::PreparedGraph;
+use crate::plan_cache::PlanLookups;
 use crate::query::{self, KernelStats, Query, QueryReport};
 use crate::sharded::{ShardPolicy, ShardProvenance, ShardedBackend};
 use crate::software;
@@ -423,25 +424,53 @@ impl ExecutionBackend for SerialPimBackend<'_> {
 
 /// Scheduled multi-array PIM execution over the prepared sliced matrix.
 ///
-/// The cost model is resolved once at construction and shared by every
-/// plan/execute cycle ([`ScheduledRun::plan_with_costs`]).
+/// The placement is planned once per prepared artifact and policy and
+/// reused by every later execution ([`PreparedGraph::schedule_plan`]).
 #[derive(Debug, Clone)]
 pub struct ScheduledPimBackend<'e> {
     engine: &'e PimEngine,
     policy: SchedPolicy,
     costs: SliceCostModel,
+    plans: Option<PlanLookups>,
 }
 
 impl<'e> ScheduledPimBackend<'e> {
     /// A scheduled backend running `policy` on `engine`.
     pub fn new(engine: &'e PimEngine, policy: SchedPolicy) -> Self {
         let costs = engine.cost_model();
-        ScheduledPimBackend { engine, policy, costs }
+        ScheduledPimBackend { engine, policy, costs, plans: None }
+    }
+
+    /// Counts this backend's plan-cache lookups into `plans`.
+    pub(crate) fn counting(mut self, plans: PlanLookups) -> Self {
+        self.plans = Some(plans);
+        self
     }
 
     /// The scheduling policy this backend executes with.
     pub fn policy(&self) -> &SchedPolicy {
         &self.policy
+    }
+
+    /// A run of `prepared` under this backend's policy, bound to the
+    /// artifact's cached plan (planned here on first use). The
+    /// `schedule` telemetry span covers the lookup whether it hits or
+    /// plans.
+    ///
+    /// # Errors
+    ///
+    /// Propagates invalid policies and slice-size mismatches as
+    /// [`CoreError::Sched`].
+    pub fn schedule<'a>(&'a self, prepared: &'a PreparedGraph) -> Result<ScheduledRun<'a>> {
+        let schedule_span = tcim_telemetry::span("schedule");
+        let (plan, cached) = prepared.schedule_plan(self.engine, &self.policy)?;
+        if let Some(plans) = &self.plans {
+            plans.record(cached);
+        }
+        let run =
+            ScheduledRun::bind(self.engine, prepared.matrix(), &self.policy, plan, cached)?;
+        drop(schedule_span);
+        Ok(run)
     }
 }
 
@@ -452,13 +481,7 @@ impl ExecutionBackend for ScheduledPimBackend<'_> {
 
     fn execute(&self, prepared: &PreparedGraph) -> Result<CountReport> {
         let start = Instant::now();
-        let report = ScheduledRun::plan_with_costs(
-            self.engine,
-            prepared.matrix(),
-            &self.policy,
-            self.costs,
-        )?
-        .execute();
+        let report = self.schedule(prepared)?.execute();
         Ok(CountReport {
             backend: self.name(),
             triangles: report.triangles,
@@ -477,13 +500,7 @@ impl ExecutionBackend for ScheduledPimBackend<'_> {
         need_support: bool,
     ) -> Result<AttributedRun> {
         let start = Instant::now();
-        let run = ScheduledRun::plan_with_costs(
-            self.engine,
-            prepared.matrix(),
-            &self.policy,
-            self.costs,
-        )?
-        .execute_attributed(need_support);
+        let run = self.schedule(prepared)?.execute_attributed(need_support);
         Ok(AttributedRun {
             backend: self.name(),
             triangles: run.report.triangles,

@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use tcim_bitmatrix::{EncodingPolicy, RowEncoding};
 use tcim_graph::CsrGraph;
-use tcim_sched::{ArrayAssignment, PlacementPolicy, ScheduledRun};
+use tcim_sched::{ArrayAssignment, PlacementPolicy};
 use tcim_shard::ShardSpec;
 
 use crate::backend::Backend;
@@ -115,6 +115,11 @@ pub struct CacheProvenance {
     /// For sharded plans, whether the sharded artifact was cached.
     /// `None` for unsharded backends.
     pub sharded_cache_hit: Option<bool>,
+    /// For scheduled plans, whether the placement came from the
+    /// artifact's plan cache (`false`: this plan built it, and the
+    /// execution that follows reuses it). `None` for backends that
+    /// place no row jobs.
+    pub plan_cache_hit: Option<bool>,
 }
 
 /// The scheduler's placement decision for a [`Backend::ScheduledPim`]
@@ -264,16 +269,17 @@ impl fmt::Display for ExplainReport {
             self.encoding.valid_fraction * 100.0,
             self.encoding.compressed_bytes
         )?;
-        let sharded_cache = match self.cache.sharded_cache_hit {
-            Some(true) => ", sharded=hit",
-            Some(false) => ", sharded=miss",
-            None => "",
+        let provenance = |name: &str, hit: Option<bool>| match hit {
+            Some(true) => format!(", {name}=hit"),
+            Some(false) => format!(", {name}=miss"),
+            None => String::new(),
         };
         writeln!(
             f,
-            "  cache      prepared={}{}",
+            "  cache      prepared={}{}{}",
             if self.cache.prepared_cache_hit { "hit" } else { "miss" },
-            sharded_cache
+            provenance("sharded", self.cache.sharded_cache_hit),
+            provenance("plan", self.cache.plan_cache_hit)
         )?;
         writeln!(
             f,
@@ -406,7 +412,11 @@ impl TcimPipeline {
         let stats = prepared.slice_stats();
         let pricing = prepared.pricing();
         let costs = self.engine().cost_model();
-        let mut cache = CacheProvenance { prepared_cache_hit, sharded_cache_hit: None };
+        let mut cache = CacheProvenance {
+            prepared_cache_hit,
+            sharded_cache_hit: None,
+            plan_cache_hit: None,
+        };
         let mut sched = None;
         let mut sharding = None;
 
@@ -420,15 +430,12 @@ impl TcimPipeline {
             },
             Backend::SerialPim | Backend::Software(_) => KernelCensus::from(pricing),
             Backend::ScheduledPim(policy) => {
-                // The same plan the executor runs; summarizing it here
-                // re-derives nothing.
-                let run = ScheduledRun::plan_with_costs(
-                    self.engine(),
-                    prepared.matrix(),
-                    policy,
-                    costs,
-                )?;
-                let per_array = run.placement().per_array_summary();
+                // The artifact's cached plan — the one the executor
+                // runs; summarizing it here re-derives nothing.
+                let (plan, cached) = prepared.schedule_plan(self.engine(), policy)?;
+                self.metrics().plan_lookups().record(cached);
+                cache.plan_cache_hit = Some(cached);
+                let per_array = plan.placement().per_array_summary();
                 let busiest = per_array.iter().map(|a| a.est_busy_s).fold(0.0f64, f64::max);
                 sched = Some(SchedPlanSummary {
                     arrays: policy.arrays,
@@ -562,6 +569,7 @@ impl TcimPipeline {
 mod tests {
     use super::*;
     use crate::accelerator::TcimConfig;
+    use crate::backend::BackendDetail;
     use crate::sharded::ShardPolicy;
     use tcim_graph::generators::gnm;
     use tcim_sched::SchedPolicy;
@@ -598,6 +606,43 @@ mod tests {
         let placed_pairs: u64 = sched.per_array.iter().map(|a| a.slice_pairs).sum();
         assert_eq!(placed_pairs, plan.predicted.census.slice_pairs);
         assert!(sched.est_critical_path_s > 0.0);
+    }
+
+    /// EXPLAIN reads the very plan the executor runs: the first
+    /// explain plans it, the execution reuses it, and the per-array
+    /// summary matches both the executed report and a fresh planning.
+    #[test]
+    fn scheduled_explain_summarizes_the_executed_plan() {
+        let p = pipeline();
+        let g = gnm(400, 3000, 17).unwrap();
+        for placement in PlacementPolicy::ALL {
+            let policy = SchedPolicy::with_arrays(4).placement(placement);
+            let spec = Backend::ScheduledPim(policy.clone());
+            let plan = p.explain(&g, &spec, &Query::TotalTriangles).unwrap();
+            assert_eq!(plan.cache.plan_cache_hit, Some(false), "{placement}");
+            assert!(plan.to_string().contains("plan=miss"));
+            let summary = &plan.sched.as_ref().unwrap().per_array;
+
+            let prepared = p.prepare(&g);
+            let report = p.execute(&prepared, &spec).unwrap();
+            let BackendDetail::ScheduledPim(executed) = &report.detail else {
+                panic!("scheduled runs carry the scheduled report");
+            };
+            assert!(executed.plan_cached, "{placement}: the execution reused EXPLAIN's plan");
+            let rows: Vec<usize> = executed.per_array.iter().map(|a| a.rows).collect();
+            let jobs: Vec<usize> = summary.iter().map(|a| a.jobs).collect();
+            assert_eq!(rows, jobs, "{placement}");
+            let (cached, hit) = prepared.schedule_plan(p.engine(), &policy).unwrap();
+            assert!(hit);
+            assert_eq!(&cached.placement().per_array_summary(), summary, "{placement}");
+            let fresh = tcim_sched::ScheduledRun::plan(p.engine(), prepared.matrix(), &policy)
+                .unwrap()
+                .placement()
+                .per_array_summary();
+            assert_eq!(&fresh, summary, "{placement}");
+            let again = p.explain(&g, &spec, &Query::TotalTriangles).unwrap();
+            assert_eq!(again.cache.plan_cache_hit, Some(true), "{placement}");
+        }
     }
 
     #[test]

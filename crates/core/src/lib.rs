@@ -102,6 +102,7 @@ pub mod explain;
 pub mod metrics;
 pub mod motifs;
 pub mod pipeline;
+mod plan_cache;
 pub mod query;
 pub mod reported;
 pub mod sharded;
@@ -121,6 +122,7 @@ pub use motifs::{
     four_cliques_from_adjacency, ktruss_value_from_adjacency, MotifFlavor, MotifPricing,
 };
 pub use pipeline::{PreparedCache, PreparedGraph, PreparedKey, PreparedPricing, TcimPipeline};
+pub use plan_cache::{PlanCacheStats, PLAN_CACHE_CAPACITY};
 pub use query::{
     EdgeSupport, EdgeTruss, KernelStats, Query, QueryReport, QueryValue, VertexClustering,
     VertexTriangles,

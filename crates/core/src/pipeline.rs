@@ -19,11 +19,13 @@ use tcim_bitmatrix::{EncodingPolicy, RowEncoding, SliceSize, SliceStats, SlicedM
 use tcim_graph::{CsrGraph, Orientation, OrientedGraph};
 
 use crate::accelerator::TcimConfig;
-use crate::backend::{Backend, CountReport, ExecutionBackend};
+use crate::backend::{Backend, CountReport, ExecutionBackend, ScheduledPimBackend};
 use crate::error::Result;
+use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::query::{Query, QueryReport};
 use crate::sharded::{ShardedBackend, ShardedCache, ShardedPreparedGraph};
 use crate::telemetry::{ExecutionSample, PipelineMetrics};
+use tcim_sched::{PlanKey, SchedPolicy, SchedulePlan};
 use tcim_shard::ShardSpec;
 
 /// Cache key of one prepared artifact: the graph's structural
@@ -95,6 +97,10 @@ pub struct PreparedPricing {
 /// A graph prepared for execution: oriented, sliced, measured and
 /// priced. Built once per [`PreparedKey`] and shared (via `Arc`) by
 /// every backend execution — backends never re-orient or re-slice.
+///
+/// The artifact also carries its schedules: the first scheduled
+/// execution under a given [`PlanKey`] plans the placement and every
+/// later one reuses it ([`PreparedGraph::schedule_plan`]).
 #[derive(Debug, Clone)]
 pub struct PreparedGraph {
     key: PreparedKey,
@@ -103,6 +109,7 @@ pub struct PreparedGraph {
     stats: SliceStats,
     pricing: PreparedPricing,
     prepare_time: Duration,
+    plans: PlanCache<PlanKey, SchedulePlan>,
 }
 
 impl PreparedGraph {
@@ -156,7 +163,15 @@ impl PreparedGraph {
         };
 
         drop(prepare_span);
-        PreparedGraph { key, oriented, matrix, stats, pricing, prepare_time: start.elapsed() }
+        PreparedGraph {
+            key,
+            oriented,
+            matrix,
+            stats,
+            pricing,
+            prepare_time: start.elapsed(),
+            plans: PlanCache::new(),
+        }
     }
 
     /// The cache key this artifact was built under.
@@ -203,6 +218,32 @@ impl PreparedGraph {
     /// The row encoding the matrix resolved to under the build policy.
     pub fn encoding(&self) -> RowEncoding {
         self.matrix.encoding()
+    }
+
+    /// The schedule of this artifact's matrix on `engine` under
+    /// `policy`: planned on the first request for its [`PlanKey`]
+    /// (array count, placement policy, the engine's buffer capacity,
+    /// replacement policy and seed, and cost model), then shared by
+    /// every later request with an equal key. The host thread count is
+    /// not part of the key, so policies differing only in it share one
+    /// plan. The flag is `true` when the plan was already cached.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Sched`](crate::CoreError::Sched) for an
+    /// invalid policy or a slice-size mismatch with the engine.
+    pub fn schedule_plan(
+        &self,
+        engine: &PimEngine,
+        policy: &SchedPolicy,
+    ) -> Result<(Arc<SchedulePlan>, bool)> {
+        let key = PlanKey::new(engine, &self.matrix, policy, engine.cost_model())?;
+        self.plans.get_or_plan(key, || Ok(SchedulePlan::build(&self.matrix, key)))
+    }
+
+    /// Occupancy and hit/miss counts of this artifact's schedule cache.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.plans.stats()
     }
 }
 
@@ -438,7 +479,8 @@ impl TcimPipeline {
     }
 
     /// A point-in-time read of this pipeline's metrics, extended with
-    /// the prepared- and sharded-cache hit/miss counters.
+    /// the prepared-cache, sharded-cache and plan-cache hit/miss
+    /// counters.
     pub fn metrics_snapshot(&self) -> tcim_telemetry::MetricsSnapshot {
         let mut snapshot = self.metrics.snapshot();
         snapshot.push_counter(
@@ -460,6 +502,17 @@ impl TcimPipeline {
             "tcim_sharded_cache_misses_total",
             "sharded-artifact cache lookups that missed",
             self.sharded.misses(),
+        );
+        let plans = self.metrics.plan_lookups();
+        snapshot.push_counter(
+            "tcim_plan_cache_hits_total",
+            "per-artifact schedule and composition plan lookups that found a plan",
+            plans.hits(),
+        );
+        snapshot.push_counter(
+            "tcim_plan_cache_misses_total",
+            "per-artifact schedule and composition plan lookups that had to plan",
+            plans.misses(),
         );
         snapshot
     }
@@ -523,14 +576,18 @@ impl TcimPipeline {
     /// this pipeline's engine. Sharded selections additionally share
     /// the pipeline's [`ShardedCache`], so repeated executions reuse
     /// one partitioned artifact (the raw [`Backend::bind`] builds it
-    /// per call).
+    /// per call). Scheduled and sharded backends count their plan-cache
+    /// lookups into this pipeline's metrics.
     pub fn backend(&self, spec: &Backend) -> Box<dyn ExecutionBackend + '_> {
+        let plans = self.metrics.plan_lookups();
         match spec {
-            Backend::Sharded(policy) => Box::new(ShardedBackend::with_cache(
-                &self.engine,
-                policy.clone(),
-                &self.sharded,
-            )),
+            Backend::ScheduledPim(policy) => Box::new(
+                ScheduledPimBackend::new(&self.engine, policy.clone()).counting(plans.clone()),
+            ),
+            Backend::Sharded(policy) => Box::new(
+                ShardedBackend::with_cache(&self.engine, policy.clone(), &self.sharded)
+                    .counting(plans.clone()),
+            ),
             _ => spec.bind(&self.engine),
         }
     }

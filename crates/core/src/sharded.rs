@@ -40,13 +40,13 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tcim_arch::{AccessStats, PimEngine};
+use tcim_arch::{AccessStats, PimEngine, SliceCostModel};
 use tcim_bitmatrix::EncodingPolicy;
 use tcim_graph::CsrGraph;
-use tcim_sched::{parallel_map_indexed, SchedPolicy};
+use tcim_sched::{parallel_map_indexed, PlacementPolicy, SchedPolicy};
 use tcim_shard::{
-    compose, compose_census, plan_shards, BoundarySlices, ComposeCensus, ShardMode, ShardPlan,
-    ShardSpec,
+    compose_census, plan_shards, BoundarySlices, ComposeCensus, CompositionPlan, ShardMode,
+    ShardPlan, ShardSpec,
 };
 
 use crate::backend::{
@@ -55,6 +55,7 @@ use crate::backend::{
 use crate::error::{CoreError, Result};
 use crate::motifs::MotifPricing;
 use crate::pipeline::{PreparedGraph, PreparedKey};
+use crate::plan_cache::{PlanCache, PlanCacheStats, PlanLookups};
 use crate::query::KernelStats;
 
 /// Value-level selection of a sharded execution: how to partition and
@@ -160,6 +161,17 @@ pub struct ShardedPreparedGraph {
     compose_census: ComposeCensus,
     pieces: Vec<ShardPiece>,
     prepare_time: Duration,
+    compositions: PlanCache<CompositionKey, CompositionPlan>,
+}
+
+/// Everything a composition plan reads besides the artifact: the inner
+/// policy's array count and placement (never its host thread count) and
+/// the cost model units are priced with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CompositionKey {
+    arrays: usize,
+    placement: PlacementPolicy,
+    costs: SliceCostModel,
 }
 
 impl ShardedPreparedGraph {
@@ -240,6 +252,7 @@ impl ShardedPreparedGraph {
             compose_census,
             pieces,
             prepare_time: start.elapsed(),
+            compositions: PlanCache::new(),
         })
     }
 
@@ -283,6 +296,38 @@ impl ShardedPreparedGraph {
     /// per-shard preparation.
     pub fn prepare_time(&self) -> Duration {
         self.prepare_time
+    }
+
+    /// The composition pass planned for `policy` with units priced by
+    /// `costs`: built on the first request for its array count,
+    /// placement and cost model, then shared by every later one (the
+    /// host thread count is not part of the key). The flag is `true`
+    /// when the plan was already cached.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Shard`] for an invalid policy.
+    pub fn composition_plan(
+        &self,
+        policy: &SchedPolicy,
+        costs: &SliceCostModel,
+    ) -> Result<(Arc<CompositionPlan>, bool)> {
+        let key = CompositionKey {
+            arrays: policy.arrays,
+            placement: policy.placement,
+            costs: *costs,
+        };
+        self.compositions.get_or_plan(key, || {
+            CompositionPlan::build(&self.plan, &self.boundary, policy, costs)
+                .map_err(CoreError::Shard)
+        })
+    }
+
+    /// Occupancy and hit/miss counts of this artifact's composition-plan
+    /// cache. Each piece keeps its own schedule cache
+    /// ([`PreparedGraph::plan_cache_stats`]).
+    pub fn composition_cache_stats(&self) -> PlanCacheStats {
+        self.compositions.stats()
     }
 }
 
@@ -497,12 +542,13 @@ pub struct ShardedBackend<'e> {
     engine: &'e PimEngine,
     policy: ShardPolicy,
     cache: Option<&'e ShardedCache>,
+    plans: Option<PlanLookups>,
 }
 
 impl<'e> ShardedBackend<'e> {
     /// An uncached sharded backend running `policy` on `engine`.
     pub fn new(engine: &'e PimEngine, policy: ShardPolicy) -> Self {
-        ShardedBackend { engine, policy, cache: None }
+        ShardedBackend { engine, policy, cache: None, plans: None }
     }
 
     /// A sharded backend sharing `cache` (the pipeline's).
@@ -511,7 +557,14 @@ impl<'e> ShardedBackend<'e> {
         policy: ShardPolicy,
         cache: &'e ShardedCache,
     ) -> Self {
-        ShardedBackend { engine, policy, cache: Some(cache) }
+        ShardedBackend { engine, policy, cache: Some(cache), plans: None }
+    }
+
+    /// Counts this backend's plan-cache lookups (every piece's schedule
+    /// and the composition plan) into `plans`.
+    pub(crate) fn counting(mut self, plans: PlanLookups) -> Self {
+        self.plans = Some(plans);
+        self
     }
 
     /// The shard policy this backend executes with.
@@ -544,7 +597,10 @@ impl<'e> ShardedBackend<'e> {
         // pieces fanned over host threads, arrays simulated serially
         // inside each piece so the host is never oversubscribed.
         let inner = SchedPolicy { host_threads: Some(1), ..self.policy.inner.clone() };
-        let backend = ScheduledPimBackend::new(self.engine, inner);
+        let mut backend = ScheduledPimBackend::new(self.engine, inner);
+        if let Some(plans) = &self.plans {
+            backend = backend.counting(plans.clone());
+        }
         let threads = self.policy.inner.resolved_host_threads();
         let shard_span = tcim_telemetry::span("shard");
         let partials: Vec<Result<IntraPartial>> =
@@ -594,16 +650,14 @@ impl<'e> ShardedBackend<'e> {
 
         // Cross-shard composition pass.
         let compose_span = tcim_telemetry::span("compose");
-        let comp = compose(
-            n,
-            sharded.plan(),
-            sharded.boundary(),
-            &self.policy.inner,
-            &self.engine.cost_model(),
-            attributed,
-            need_support,
-        )
-        .map_err(CoreError::Shard)?;
+        let (composition, cached) =
+            sharded.composition_plan(&self.policy.inner, &self.engine.cost_model())?;
+        if let Some(plans) = &self.plans {
+            plans.record(cached);
+        }
+        let comp = composition
+            .execute(n, sharded.boundary(), threads, attributed, need_support)
+            .map_err(CoreError::Shard)?;
         drop(compose_span);
         triangles += comp.triangles;
         kernel.merge(&KernelStats {
@@ -812,14 +866,17 @@ mod tests {
     #[test]
     fn pipeline_sharded_cache_prevents_repartitioning() {
         let p = pipeline();
+        let builds = tcim_bitmatrix::BuildScope::new();
+        let _counting = builds.enter();
         let prepared = p.prepare(&gnm(256, 1800, 5).unwrap());
         let spec = Backend::Sharded(ShardPolicy::with_shards(2));
         p.execute(&prepared, &spec).unwrap();
-        let built = tcim_bitmatrix::matrices_built();
+        let built = builds.builds();
+        assert!(built >= 3, "the base artifact and both pieces were built in scope");
         for _ in 0..3 {
             p.query(&prepared, &spec, &Query::PerVertexTriangles).unwrap();
         }
-        assert_eq!(tcim_bitmatrix::matrices_built(), built, "no re-slicing after first build");
+        assert_eq!(builds.builds(), built, "no re-slicing after first build");
         assert_eq!(p.sharded_cache().len(), 1);
         assert!(p.sharded_cache().hits() >= 3);
     }

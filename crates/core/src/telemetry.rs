@@ -26,6 +26,7 @@ use std::time::Duration;
 use tcim_bitmatrix::RowEncoding;
 use tcim_telemetry::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 
+use crate::plan_cache::PlanLookups;
 use crate::query::KernelStats;
 
 /// Per-`{backend, encoding}` series, keyed by the pre-rendered
@@ -86,6 +87,7 @@ pub struct PipelineMetrics {
     model_error: Histogram,
     labelled: Arc<Mutex<BTreeMap<String, LabelledSeries>>>,
     query_variants: Arc<Mutex<BTreeMap<String, u64>>>,
+    plan_lookups: PlanLookups,
 }
 
 impl Default for PipelineMetrics {
@@ -147,6 +149,7 @@ impl PipelineMetrics {
             ),
             labelled: Arc::new(Mutex::new(BTreeMap::new())),
             query_variants: Arc::new(Mutex::new(BTreeMap::new())),
+            plan_lookups: PlanLookups::default(),
             registry,
         }
     }
@@ -155,6 +158,13 @@ impl PipelineMetrics {
     /// that should appear in this pipeline's snapshots).
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
+    }
+
+    /// The plan-cache lookup counters this pipeline's backends record
+    /// into (exported beside the cache counters by
+    /// [`TcimPipeline::metrics_snapshot`](crate::TcimPipeline::metrics_snapshot)).
+    pub(crate) fn plan_lookups(&self) -> &PlanLookups {
+        &self.plan_lookups
     }
 
     /// The pre-rendered Prometheus label pairs a `{backend, encoding}`

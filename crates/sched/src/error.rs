@@ -19,6 +19,10 @@ pub enum SchedError {
         /// The matrix's slice size in bits.
         matrix_bits: u32,
     },
+    /// A plan was bound to a run it was not built for: a different
+    /// array count or placement policy, engine buffer or replacement
+    /// configuration, cost model, or matrix shape.
+    PlanMismatch,
 }
 
 impl fmt::Display for SchedError {
@@ -31,6 +35,9 @@ impl fmt::Display for SchedError {
                 f,
                 "slice size mismatch: engine characterized for |S| = {engine_bits} \
                  but matrix sliced at |S| = {matrix_bits}"
+            ),
+            SchedError::PlanMismatch => f.write_str(
+                "the schedule plan was built for a different policy, engine or matrix",
             ),
         }
     }

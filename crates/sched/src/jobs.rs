@@ -26,6 +26,9 @@ pub struct RowJob {
     pub row_slices: u64,
     /// Distinct column-slice keys (`column id << 32 | slice index`) the
     /// row touches — the reuse footprint the reuse-aware policy scores.
+    /// Filled by [`decompose`]; emptied by
+    /// [`Placement::place`](crate::Placement::place) once placing is
+    /// done, since nothing after placement reads it.
     pub col_keys: Vec<u64>,
     /// Cold-cache busy-time estimate (s): every touched slice written
     /// once plus the AND/BitCount work. The load metric of the

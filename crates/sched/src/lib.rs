@@ -28,6 +28,10 @@
 //!   AND + BitCount kernels a dynamic-graph batch (`tcim-stream`)
 //!   produces: tiny, independent, residency-free jobs priced by the
 //!   same cost model and balanced by the same policies.
+//! * **Owned plans** ([`SchedulePlan`], [`PlanKey`]) — a placement
+//!   keyed by everything it reads (arrays, policy, buffer, replacement,
+//!   cost model), shareable through an `Arc` so repeated runs of one
+//!   matrix bind it ([`ScheduledRun::bind`]) instead of re-planning.
 //! * **Batch execution** ([`ScheduledRun`], [`BatchRunner`]) —
 //!   independent per-array work fans out over scoped host threads and
 //!   partial triangle counts merge deterministically in array order.
@@ -68,6 +72,7 @@ mod error;
 mod executor;
 pub mod jobs;
 mod placement;
+mod plan;
 mod policy;
 mod report;
 mod runner;
@@ -76,6 +81,7 @@ pub use delta::{plan_deltas, DeltaJob, DeltaPlan};
 pub use error::{Result, SchedError};
 pub use jobs::RowJob;
 pub use placement::{ArrayAssignment, Placement};
+pub use plan::{PlanKey, SchedulePlan};
 pub use policy::{PlacementPolicy, SchedPolicy};
 pub use report::{ArrayReport, ScheduledReport};
 pub use runner::{parallel_map_indexed, AttributedScheduledRun, BatchRunner, ScheduledRun};

@@ -12,7 +12,8 @@ pub struct Placement {
     pub arrays: usize,
     /// The policy that produced this placement.
     pub policy: PlacementPolicy,
-    /// The decomposed jobs, in row order.
+    /// The decomposed jobs, in row order, with their
+    /// [`col_keys`](RowJob::col_keys) emptied: placing consumed them.
     pub jobs: Vec<RowJob>,
     /// `assignment[j]` is the array index of `jobs[j]`.
     pub assignment: Vec<u32>,
@@ -29,7 +30,7 @@ impl Placement {
     /// match what the run will actually execute with (ignored by the
     /// other policies).
     pub fn place(
-        jobs: Vec<RowJob>,
+        mut jobs: Vec<RowJob>,
         arrays: usize,
         policy: PlacementPolicy,
         costs: &SliceCostModel,
@@ -51,8 +52,11 @@ impl Placement {
             ),
         };
         let mut est_busy_per_array = vec![0.0f64; arrays];
-        for (job, &a) in jobs.iter().zip(&assignment) {
+        for (job, &a) in jobs.iter_mut().zip(&assignment) {
             est_busy_per_array[a as usize] += job.est_busy_s;
+            // Only the placer reads the reuse footprint; a retained
+            // placement does not carry it.
+            job.col_keys = Vec::new();
         }
         Placement { arrays, policy, jobs, assignment, est_busy_per_array }
     }

@@ -17,6 +17,14 @@ use tcim_arch::{AccessStats, SliceCostModel};
 use crate::placement::imbalance;
 use crate::policy::SchedPolicy;
 
+/// Where a run's placement came from: how long planning took and
+/// whether the plan was reused from a cache.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PlanTiming {
+    pub placement_time: std::time::Duration,
+    pub cached: bool,
+}
+
 /// Per-array outcome of a scheduled run.
 #[derive(Debug, Clone)]
 pub struct ArrayReport {
@@ -60,8 +68,17 @@ pub struct ScheduledReport {
     /// Total modelled energy (J): switching + leakage over the critical
     /// path + host controller energy.
     pub total_energy_j: f64,
-    /// Host wall-clock time spent planning the placement.
+    /// Host wall-clock time building the placement this run executed
+    /// took. On a cached plan ([`plan_cached`](Self::plan_cached)) this
+    /// is the time the original planning took, spent by the earlier call
+    /// that built the plan, not by this run: a caller totalling host
+    /// planning cost counts only reports with `plan_cached == false`.
     pub placement_time: std::time::Duration,
+    /// Whether the run executed a plan taken from a plan cache (`true`)
+    /// rather than one built for this run (`false`). Never changes the
+    /// modelled results: a cached plan is the plan a fresh planning
+    /// would build.
+    pub plan_cached: bool,
     /// Host wall-clock time spent simulating the arrays.
     pub host_sim_time: std::time::Duration,
 }
@@ -95,7 +112,7 @@ impl ScheduledReport {
         rows_per_array: &[usize],
         stats_per_array: Vec<AccessStats>,
         costs: &SliceCostModel,
-        placement_time: std::time::Duration,
+        plan: PlanTiming,
         host_sim_time: std::time::Duration,
     ) -> ScheduledReport {
         let busy: Vec<f64> = stats_per_array.iter().map(|s| costs.array_busy_s(s)).collect();
@@ -139,7 +156,8 @@ impl ScheduledReport {
             critical_path_s,
             imbalance: imbalance(&busy),
             total_energy_j,
-            placement_time,
+            placement_time: plan.placement_time,
+            plan_cached: plan.cached,
             host_sim_time,
         }
     }
@@ -174,7 +192,7 @@ mod tests {
             &[2, 1],
             vec![stats(10, 40, 6), stats(5, 10, 2)],
             &c,
-            std::time::Duration::ZERO,
+            PlanTiming::default(),
             std::time::Duration::ZERO,
         );
         assert_eq!(report.triangles, 7);
@@ -199,7 +217,7 @@ mod tests {
             &[0, 0, 0, 0],
             vec![AccessStats::default(); 4],
             &costs(),
-            std::time::Duration::ZERO,
+            PlanTiming::default(),
             std::time::Duration::ZERO,
         );
         assert_eq!(report.triangles, 0);

@@ -9,19 +9,21 @@
 //! results in submission order, so the reported counts and statistics
 //! are independent of thread interleaving.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use tcim_arch::{PimEngine, SliceCostModel};
-use tcim_bitmatrix::SlicedMatrix;
+use tcim_bitmatrix::{BuildScope, SlicedMatrix};
 
 use std::collections::BTreeMap;
 
 use crate::error::{Result, SchedError};
 use crate::executor::{run_array, ArrayRun, Attribution};
-use crate::jobs::{decompose, RowJob};
+use crate::jobs::RowJob;
 use crate::placement::Placement;
+use crate::plan::{PlanKey, SchedulePlan};
 use crate::policy::SchedPolicy;
-use crate::report::ScheduledReport;
+use crate::report::{PlanTiming, ScheduledReport};
 
 /// A scheduled run executed with triangle attribution: the usual
 /// [`ScheduledReport`] plus the attributed quantities, merged
@@ -45,17 +47,17 @@ pub struct AttributedScheduledRun {
 
 /// A planned scheduled run: a matrix bound to a placement, ready to
 /// execute (possibly several times).
+///
+/// The placement lives in a shared [`SchedulePlan`]: [`ScheduledRun::plan`]
+/// builds a fresh one, [`ScheduledRun::bind`] reuses one built earlier
+/// (e.g. cached beside a prepared graph) without re-planning.
 #[derive(Debug)]
 pub struct ScheduledRun<'a> {
     engine: &'a PimEngine,
     matrix: &'a SlicedMatrix,
     policy: SchedPolicy,
-    placement: Placement,
-    /// The cost model resolved once at plan time and reused by every
-    /// `execute` call, so repeated executions of one plan never
-    /// re-resolve characterization-derived pricing.
-    costs: SliceCostModel,
-    placement_time: std::time::Duration,
+    plan: Arc<SchedulePlan>,
+    plan_cached: bool,
 }
 
 impl<'a> ScheduledRun<'a> {
@@ -91,48 +93,52 @@ impl<'a> ScheduledRun<'a> {
         policy: &SchedPolicy,
         costs: SliceCostModel,
     ) -> Result<ScheduledRun<'a>> {
-        policy.validate()?;
-        if matrix.slice_size() != engine.config().slice_size {
-            return Err(SchedError::SliceSizeMismatch {
-                engine_bits: engine.config().slice_size.bits(),
-                matrix_bits: matrix.slice_size().bits(),
-            });
-        }
+        let key = PlanKey::new(engine, matrix, policy, costs)?;
         let schedule_span = tcim_telemetry::span("schedule");
-        let start = Instant::now();
-        let jobs = decompose(matrix, &costs);
-        // Model the residency buffer the run will actually have: the
-        // per-array share minus the row-region reservation. Assignments
-        // are unknown while placing, so reserve the widest row of the
-        // whole matrix — conservative for arrays that end up with
-        // narrower rows.
-        let widest_row = jobs.iter().map(|j| j.row_slices as usize).max().unwrap_or(0);
-        let residency_capacity =
-            per_array_capacity(engine, policy.arrays).saturating_sub(widest_row).max(1);
-        let placement = Placement::place(
-            jobs,
-            policy.arrays,
-            policy.placement,
-            &costs,
-            residency_capacity,
-            engine.config().replacement,
-            engine.config().replacement_seed,
-        );
-        placement.validate();
+        let plan = SchedulePlan::build(matrix, key);
         drop(schedule_span);
         Ok(ScheduledRun {
             engine,
             matrix,
             policy: policy.clone(),
-            placement,
-            costs,
-            placement_time: start.elapsed(),
+            plan: Arc::new(plan),
+            plan_cached: false,
         })
+    }
+
+    /// Binds an existing `plan` to `engine` and `matrix` without
+    /// re-planning. `policy` supplies the host thread count (which no
+    /// plan depends on) and is echoed in the report; `cached` records
+    /// whether the plan came from a cache rather than being built for
+    /// this run, and surfaces as [`ScheduledReport::plan_cached`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ScheduledRun::plan`], plus [`SchedError::PlanMismatch`] when
+    /// `plan` was built for a different policy, engine configuration,
+    /// or matrix shape.
+    pub fn bind(
+        engine: &'a PimEngine,
+        matrix: &'a SlicedMatrix,
+        policy: &SchedPolicy,
+        plan: Arc<SchedulePlan>,
+        cached: bool,
+    ) -> Result<ScheduledRun<'a>> {
+        let key = PlanKey::new(engine, matrix, policy, *plan.key().costs())?;
+        if key != *plan.key() || !plan.fits(matrix) {
+            return Err(SchedError::PlanMismatch);
+        }
+        Ok(ScheduledRun { engine, matrix, policy: policy.clone(), plan, plan_cached: cached })
     }
 
     /// The placement this run will execute.
     pub fn placement(&self) -> &Placement {
-        &self.placement
+        self.plan.placement()
+    }
+
+    /// The shared plan this run executes.
+    pub fn schedule_plan(&self) -> &Arc<SchedulePlan> {
+        &self.plan
     }
 
     /// Executes the planned run: fans per-array work over host worker
@@ -161,18 +167,13 @@ impl<'a> ScheduledRun<'a> {
 
     fn execute_mode(&self, attribution: Attribution) -> AttributedScheduledRun {
         let arrays = self.policy.arrays;
+        let placement = self.plan.placement();
         let per_array_jobs: Vec<Vec<&RowJob>> = (0..arrays)
-            .map(|a| {
-                self.placement
-                    .rows_of(a)
-                    .into_iter()
-                    .map(|j| &self.placement.jobs[j])
-                    .collect()
-            })
+            .map(|a| placement.rows_of(a).into_iter().map(|j| &placement.jobs[j]).collect())
             .collect();
-        let capacity = per_array_capacity(self.engine, arrays);
-        let replacement = self.engine.config().replacement;
-        let base_seed = self.engine.config().replacement_seed;
+        let key = self.plan.key();
+        let capacity = key.per_array_capacity();
+        let (replacement, base_seed) = key.replacement();
 
         let start = Instant::now();
         // One span covers the whole fan-out: per-array work runs on
@@ -227,8 +228,11 @@ impl<'a> ScheduledRun<'a> {
             self.policy.clone(),
             &rows_per_array,
             stats_per_array,
-            &self.costs,
-            self.placement_time,
+            key.costs(),
+            PlanTiming {
+                placement_time: self.plan.placement_time(),
+                cached: self.plan_cached,
+            },
             host_sim_time,
         );
         AttributedScheduledRun {
@@ -301,7 +305,9 @@ impl<'e> BatchRunner<'e> {
 ///
 /// Exposed because every layer that fans per-array work over the host
 /// (this crate's runners, the `tcim-stream` delta executor) needs the
-/// identical deterministic fork-join shape.
+/// identical deterministic fork-join shape. Workers re-enter the
+/// caller's [`BuildScope`]s, so matrix builds inside `f` are counted as
+/// the caller's.
 pub fn parallel_map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -312,12 +318,16 @@ where
         return (0..n).map(f).collect();
     }
     let mut results: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
+    // Matrix builds on a worker count toward the caller's build scopes.
+    let build_scopes = BuildScope::active();
     std::thread::scope(|scope| {
         let chunks = results.chunks_mut(n.div_ceil(workers));
         for (w, chunk) in chunks.enumerate() {
             let f = &f;
+            let build_scopes = &build_scopes;
             let base = w * n.div_ceil(workers);
             scope.spawn(move || {
+                let _builds = BuildScope::enter_all(build_scopes);
                 for (off, slot) in chunk.iter_mut().enumerate() {
                     *slot = Some(f(base + off));
                 }
@@ -328,12 +338,6 @@ where
         .into_iter()
         .map(|r| r.expect("every index is computed by exactly one worker"))
         .collect()
-}
-
-/// Column-slice buffer capacity available to each of `arrays` equal
-/// partitions of the engine's data buffer.
-fn per_array_capacity(engine: &PimEngine, arrays: usize) -> usize {
-    (engine.capacity_slices() / arrays.max(1)).max(1)
 }
 
 #[cfg(test)]
@@ -386,6 +390,56 @@ mod tests {
         assert_eq!(a.triangles, b.triangles);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.critical_path_s, b.critical_path_s);
+    }
+
+    #[test]
+    fn bound_plan_reproduces_a_fresh_plan_exactly() {
+        let e = engine();
+        let m = wheel_matrix(400);
+        for placement in PlacementPolicy::ALL {
+            let policy = SchedPolicy::with_arrays(4).placement(placement);
+            let fresh = ScheduledRun::plan(&e, &m, &policy).unwrap();
+            let plan = Arc::clone(fresh.schedule_plan());
+            // Any host thread count binds the same plan.
+            let serial_host = SchedPolicy { host_threads: Some(1), ..policy.clone() };
+            let bound = ScheduledRun::bind(&e, &m, &serial_host, plan, true).unwrap();
+            let (a, b) = (fresh.execute(), bound.execute());
+            assert!(!a.plan_cached && b.plan_cached, "{placement}");
+            assert_eq!(a.triangles, b.triangles, "{placement}");
+            assert_eq!(a.stats, b.stats, "{placement}");
+            assert_eq!(a.critical_path_s, b.critical_path_s, "{placement}");
+            assert_eq!(a.total_energy_j, b.total_energy_j, "{placement}");
+            assert_eq!(a.placement_time, b.placement_time, "{placement}");
+        }
+    }
+
+    #[test]
+    fn binding_a_plan_to_another_configuration_is_rejected() {
+        let e = engine();
+        let m = wheel_matrix(200);
+        let plan = Arc::clone(
+            ScheduledRun::plan(&e, &m, &SchedPolicy::with_arrays(4)).unwrap().schedule_plan(),
+        );
+        let other_arrays = SchedPolicy::with_arrays(2);
+        let err = ScheduledRun::bind(&e, &m, &other_arrays, Arc::clone(&plan), true);
+        assert!(matches!(err, Err(SchedError::PlanMismatch)));
+        let tiny = PimEngine::new(&PimConfig {
+            capacity_slices_override: Some(16),
+            ..PimConfig::default()
+        })
+        .unwrap();
+        let err = ScheduledRun::bind(
+            &tiny,
+            &m,
+            &SchedPolicy::with_arrays(4),
+            Arc::clone(&plan),
+            true,
+        );
+        assert!(matches!(err, Err(SchedError::PlanMismatch)));
+        let other_matrix = wheel_matrix(150);
+        let err =
+            ScheduledRun::bind(&e, &other_matrix, &SchedPolicy::with_arrays(4), plan, true);
+        assert!(matches!(err, Err(SchedError::PlanMismatch)));
     }
 
     #[test]
@@ -448,6 +502,14 @@ mod tests {
         assert_eq!(report.triangles, 0);
         assert_eq!(report.critical_path_s, 0.0);
         assert_eq!(report.imbalance, 1.0);
+    }
+
+    #[test]
+    fn parallel_map_carries_build_scopes_onto_workers() {
+        let scope = BuildScope::new();
+        let _counting = scope.enter();
+        parallel_map_indexed(4, 4, |i| wheel_matrix(10 + i));
+        assert_eq!(scope.builds(), 4);
     }
 
     #[test]

@@ -136,7 +136,8 @@ struct ArrayPartial {
 }
 
 /// Runs the composition pass for `plan` over the extracted `boundary`
-/// material, placing kernels onto `policy.arrays` arrays.
+/// material, placing kernels onto `policy.arrays` arrays: a fresh
+/// [`CompositionPlan::build`] followed by [`CompositionPlan::execute`].
 ///
 /// With `attributed` set, every non-zero AND result is read back out
 /// and each surviving middle vertex `w` is recorded as the triangle
@@ -157,111 +158,228 @@ pub fn compose(
     attributed: bool,
     need_support: bool,
 ) -> Result<CompositionRun> {
-    policy.validate().map_err(ShardError::Sched)?;
-    let arcs = boundary.cross_arcs();
+    CompositionPlan::build(plan, boundary, policy, costs)?.execute(
+        vertex_count,
+        boundary,
+        policy.resolved_host_threads(),
+        attributed,
+        need_support,
+    )
+}
 
-    // Group arcs into placement units and price each unit.
-    let units: Vec<Vec<usize>> = match plan.mode() {
-        ShardMode::OneD => (0..arcs.len()).map(|k| vec![k]).collect(),
-        ShardMode::TwoD => {
-            let mut blocks: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
-                std::collections::BTreeMap::new();
-            for (k, &(a, c)) in arcs.iter().enumerate() {
-                blocks.entry((plan.shard_of(a), plan.shard_of(c))).or_default().push(k);
-            }
-            blocks.into_values().collect()
-        }
-    };
-    let jobs: Vec<DeltaJob> = units
-        .iter()
-        .enumerate()
-        .map(|(id, unit)| price_unit(id, unit, arcs, boundary, costs))
-        .collect::<Result<_>>()?;
-    let delta_plan = plan_deltas(&jobs, policy).map_err(ShardError::Sched)?;
-    let per_array = delta_plan.per_array_jobs();
+/// How a composition pass groups cross arcs into placement units.
+#[derive(Debug, Clone)]
+enum Units {
+    /// [`ShardMode::OneD`]: one unit per cross arc, unit `k` being arc
+    /// `k` — nothing to store.
+    Arcs(usize),
+    /// [`ShardMode::TwoD`]: one unit per `(tail shard, head shard)`
+    /// edge block; unit `u` is `arcs[bounds[u]..bounds[u + 1]]`.
+    Blocks { arcs: Vec<u32>, bounds: Vec<usize> },
+}
 
-    // Execute each array's units; merge deterministically in array
-    // order afterwards.
-    let threads = policy.resolved_host_threads();
-    let partials: Vec<Result<ArrayPartial>> =
-        parallel_map_indexed(per_array.len(), threads, |array| {
-            let mut partial = ArrayPartial {
-                triangles: 0,
-                invocations: 0,
-                pairs: 0,
-                skipped: 0,
-                readouts: 0,
-                writes: 0,
-                busy_s: 0.0,
-                tally: attributed.then(|| TriangleTally::new(vertex_count, need_support)),
-            };
-            for &unit in &per_array[array] {
-                run_unit(&units[unit], arcs, boundary, &mut partial)?;
-            }
-            partial.busy_s = costs.write_latency_s * partial.writes as f64
-                + (costs.and_latency_s + costs.bitcount_latency_s) * partial.pairs as f64
-                + costs.readout_latency_s * partial.readouts as f64;
-            Ok(partial)
-        });
-
-    let mut triangles = 0u64;
-    let mut invocations = 0u64;
-    let mut pairs = 0u64;
-    let mut skipped = 0u64;
-    let mut readouts = 0u64;
-    let mut writes = 0u64;
-    let mut busy: Vec<f64> = Vec::with_capacity(per_array.len());
-    let mut per_vertex = attributed.then(|| vec![0u64; vertex_count]);
-    let mut support: Option<std::collections::BTreeMap<(u32, u32), u64>> =
-        (attributed && need_support).then(std::collections::BTreeMap::new);
-    for partial in partials {
-        let partial = partial?;
-        triangles += partial.triangles;
-        invocations += partial.invocations;
-        pairs += partial.pairs;
-        skipped += partial.skipped;
-        readouts += partial.readouts;
-        writes += partial.writes;
-        busy.push(partial.busy_s);
-        if let Some(tally) = partial.tally {
-            let (_, pv, sp) = tally.into_parts();
-            if let Some(total) = per_vertex.as_mut() {
-                for (t, p) in total.iter_mut().zip(&pv) {
-                    *t += p;
-                }
-            }
-            if let (Some(map), Some(sp)) = (support.as_mut(), sp) {
-                for (i, j, c) in sp {
-                    *map.entry((i, j)).or_insert(0) += c;
-                }
-            }
+impl Units {
+    fn len(&self) -> usize {
+        match self {
+            Units::Arcs(n) => *n,
+            Units::Blocks { bounds, .. } => bounds.len() - 1,
         }
     }
 
-    // Host dispatch stays serial (one controller), array work runs on
-    // the busiest array's clock.
-    let host_s = arcs.len() as f64 * costs.controller_overhead_s;
-    let max_busy = busy.iter().copied().fold(0.0, f64::max);
-    let mean_busy =
-        if busy.is_empty() { 0.0 } else { busy.iter().sum::<f64>() / busy.len() as f64 };
-    let energy = costs.write_energy_j * writes as f64
-        + (costs.and_energy_j + costs.bitcount_energy_j) * pairs as f64
-        + costs.readout_energy_j * readouts as f64;
+    /// Calls `f` with the arc indices of unit `u`.
+    fn with_unit<R>(&self, u: usize, f: impl FnOnce(&[u32]) -> R) -> R {
+        match self {
+            Units::Arcs(_) => f(&[u as u32]),
+            Units::Blocks { arcs, bounds } => f(&arcs[bounds[u]..bounds[u + 1]]),
+        }
+    }
+}
 
-    Ok(CompositionRun {
-        triangles,
-        per_vertex,
-        support: support.map(|map| map.into_iter().map(|((i, j), c)| (i, j, c)).collect()),
-        kernel_invocations: invocations,
-        slice_pairs: pairs,
-        blocks_skipped: skipped,
-        result_readouts: readouts,
-        write_slices: writes,
-        critical_path_s: host_s + max_busy,
-        modelled_energy_j: energy,
-        imbalance: if mean_busy > 0.0 { max_busy / mean_busy } else { 1.0 },
-        placement_units: units.len(),
-    })
+/// The planned half of a composition pass: cross arcs grouped into
+/// placement units, priced, and placed onto arrays. It depends only on
+/// the shard plan, the boundary material, the policy's array count and
+/// placement, and the cost model — never on the host thread count — so
+/// one plan serves every later pass over the same artifact
+/// ([`CompositionPlan::execute`]).
+#[derive(Debug, Clone)]
+pub struct CompositionPlan {
+    units: Units,
+    /// Unit ids per array, ascending.
+    per_array: Vec<Vec<u32>>,
+    costs: SliceCostModel,
+}
+
+impl CompositionPlan {
+    /// Groups `boundary`'s cross arcs into placement units (arcs in
+    /// [`ShardMode::OneD`], edge blocks in [`ShardMode::TwoD`]), prices
+    /// each unit with `costs`, and places the units onto
+    /// `policy.arrays` arrays.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShardError::MissingBoundary`] when an arc's operands
+    /// were not extracted (an internal invariant violation) and
+    /// propagates placement errors.
+    pub fn build(
+        plan: &ShardPlan,
+        boundary: &BoundarySlices,
+        policy: &SchedPolicy,
+        costs: &SliceCostModel,
+    ) -> Result<CompositionPlan> {
+        policy.validate().map_err(ShardError::Sched)?;
+        let arcs = boundary.cross_arcs();
+        // Units and their arcs are stored as `u32` indices, like vertex
+        // ids.
+        assert!(u32::try_from(arcs.len()).is_ok(), "cross arcs exceed u32 indices");
+        let units = match plan.mode() {
+            ShardMode::OneD => Units::Arcs(arcs.len()),
+            ShardMode::TwoD => {
+                let mut blocks: std::collections::BTreeMap<(usize, usize), Vec<u32>> =
+                    std::collections::BTreeMap::new();
+                for (k, &(a, c)) in arcs.iter().enumerate() {
+                    blocks
+                        .entry((plan.shard_of(a), plan.shard_of(c)))
+                        .or_default()
+                        .push(k as u32);
+                }
+                let mut bounds = vec![0];
+                let mut grouped = Vec::with_capacity(arcs.len());
+                for block in blocks.into_values() {
+                    grouped.extend(block);
+                    bounds.push(grouped.len());
+                }
+                Units::Blocks { arcs: grouped, bounds }
+            }
+        };
+        let jobs: Vec<DeltaJob> = (0..units.len())
+            .map(|u| units.with_unit(u, |unit| price_unit(u, unit, arcs, boundary, costs)))
+            .collect::<Result<_>>()?;
+        let per_array = plan_deltas(&jobs, policy)
+            .map_err(ShardError::Sched)?
+            .per_array_jobs()
+            .into_iter()
+            .map(|units| units.into_iter().map(|u| u as u32).collect())
+            .collect();
+        Ok(CompositionPlan { units, per_array, costs: *costs })
+    }
+
+    /// Placement units the pass is scheduled as.
+    pub fn placement_units(&self) -> usize {
+        self.units.len()
+    }
+
+    /// Number of arrays the units are placed onto.
+    pub fn arrays(&self) -> usize {
+        self.per_array.len()
+    }
+
+    /// Runs the planned pass over `boundary` (the material the plan was
+    /// built from), fanning arrays over at most `host_threads` threads.
+    ///
+    /// With `attributed` set, every non-zero AND result is read back out
+    /// and each surviving middle vertex `w` is recorded as the triangle
+    /// `(a, w, c)`; `need_support` additionally accumulates per-arc
+    /// support.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShardError::MissingBoundary`] when an arc's operands
+    /// were not extracted (an internal invariant violation).
+    pub fn execute(
+        &self,
+        vertex_count: usize,
+        boundary: &BoundarySlices,
+        host_threads: usize,
+        attributed: bool,
+        need_support: bool,
+    ) -> Result<CompositionRun> {
+        let arcs = boundary.cross_arcs();
+        let costs = &self.costs;
+        let per_array = &self.per_array;
+
+        // Execute each array's units; merge deterministically in array
+        // order afterwards.
+        let partials: Vec<Result<ArrayPartial>> =
+            parallel_map_indexed(per_array.len(), host_threads, |array| {
+                let mut partial = ArrayPartial {
+                    triangles: 0,
+                    invocations: 0,
+                    pairs: 0,
+                    skipped: 0,
+                    readouts: 0,
+                    writes: 0,
+                    busy_s: 0.0,
+                    tally: attributed.then(|| TriangleTally::new(vertex_count, need_support)),
+                };
+                for &unit in &per_array[array] {
+                    self.units.with_unit(unit as usize, |unit| {
+                        run_unit(unit, arcs, boundary, &mut partial)
+                    })?;
+                }
+                partial.busy_s = costs.write_latency_s * partial.writes as f64
+                    + (costs.and_latency_s + costs.bitcount_latency_s) * partial.pairs as f64
+                    + costs.readout_latency_s * partial.readouts as f64;
+                Ok(partial)
+            });
+        let mut triangles = 0u64;
+        let mut invocations = 0u64;
+        let mut pairs = 0u64;
+        let mut skipped = 0u64;
+        let mut readouts = 0u64;
+        let mut writes = 0u64;
+        let mut busy: Vec<f64> = Vec::with_capacity(per_array.len());
+        let mut per_vertex = attributed.then(|| vec![0u64; vertex_count]);
+        let mut support: Option<std::collections::BTreeMap<(u32, u32), u64>> =
+            (attributed && need_support).then(std::collections::BTreeMap::new);
+        for partial in partials {
+            let partial = partial?;
+            triangles += partial.triangles;
+            invocations += partial.invocations;
+            pairs += partial.pairs;
+            skipped += partial.skipped;
+            readouts += partial.readouts;
+            writes += partial.writes;
+            busy.push(partial.busy_s);
+            if let Some(tally) = partial.tally {
+                let (_, pv, sp) = tally.into_parts();
+                if let Some(total) = per_vertex.as_mut() {
+                    for (t, p) in total.iter_mut().zip(&pv) {
+                        *t += p;
+                    }
+                }
+                if let (Some(map), Some(sp)) = (support.as_mut(), sp) {
+                    for (i, j, c) in sp {
+                        *map.entry((i, j)).or_insert(0) += c;
+                    }
+                }
+            }
+        }
+
+        // Host dispatch stays serial (one controller), array work runs on
+        // the busiest array's clock.
+        let host_s = arcs.len() as f64 * costs.controller_overhead_s;
+        let max_busy = busy.iter().copied().fold(0.0, f64::max);
+        let mean_busy =
+            if busy.is_empty() { 0.0 } else { busy.iter().sum::<f64>() / busy.len() as f64 };
+        let energy = costs.write_energy_j * writes as f64
+            + (costs.and_energy_j + costs.bitcount_energy_j) * pairs as f64
+            + costs.readout_energy_j * readouts as f64;
+
+        Ok(CompositionRun {
+            triangles,
+            per_vertex,
+            support: support.map(|map| map.into_iter().map(|((i, j), c)| (i, j, c)).collect()),
+            kernel_invocations: invocations,
+            slice_pairs: pairs,
+            blocks_skipped: skipped,
+            result_readouts: readouts,
+            write_slices: writes,
+            critical_path_s: host_s + max_busy,
+            modelled_energy_j: energy,
+            imbalance: if mean_busy > 0.0 { max_busy / mean_busy } else { 1.0 },
+            placement_units: self.units.len(),
+        })
+    }
 }
 
 /// Prices one placement unit: operand write slices (each distinct
@@ -269,7 +387,7 @@ pub fn compose(
 /// upper bound for load balancing.
 fn price_unit(
     id: usize,
-    unit: &[usize],
+    unit: &[u32],
     arcs: &[(u32, u32)],
     boundary: &BoundarySlices,
     costs: &SliceCostModel,
@@ -280,7 +398,7 @@ fn price_unit(
     let mut seen_rows: std::collections::HashSet<u32> = std::collections::HashSet::new();
     let mut seen_cols: std::collections::HashSet<u32> = std::collections::HashSet::new();
     for &k in unit {
-        let (a, c) = arcs[k];
+        let (a, c) = arcs[k as usize];
         let row = operand(boundary.row(a), a, "row")?;
         let col = operand(boundary.col(c), c, "column")?;
         if seen_rows.insert(a) {
@@ -306,7 +424,7 @@ fn operand<'a>(
 /// three region sub-passes, counting operand writes with per-unit
 /// reuse (a 2D block writes each distinct operand once).
 fn run_unit(
-    unit: &[usize],
+    unit: &[u32],
     arcs: &[(u32, u32)],
     boundary: &BoundarySlices,
     partial: &mut ArrayPartial,
@@ -314,7 +432,7 @@ fn run_unit(
     let mut seen_rows: std::collections::HashSet<u32> = std::collections::HashSet::new();
     let mut seen_cols: std::collections::HashSet<u32> = std::collections::HashSet::new();
     for &k in unit {
-        let (a, c) = arcs[k];
+        let (a, c) = arcs[k as usize];
         let row = operand(boundary.row(a), a, "row")?;
         let col = operand(boundary.col(c), c, "column")?;
         if seen_rows.insert(a) {
@@ -533,6 +651,34 @@ mod tests {
             assert_eq!(census.kernel_invocations, run.kernel_invocations, "{encoding}");
             assert_eq!(census.slice_pairs, run.slice_pairs, "{encoding}");
             assert_eq!(census.blocks_skipped, run.blocks_skipped, "{encoding}");
+        }
+    }
+
+    #[test]
+    fn one_plan_executes_repeatedly_like_a_fresh_compose() {
+        for mode_2d in [false, true] {
+            let g = gnm(512, 3500, 9).unwrap();
+            let oriented = Orientation::Natural.orient(&g);
+            let spec = if mode_2d { ShardSpec::two_d(4) } else { ShardSpec::one_d(4) };
+            let plan = plan_shards(&oriented, &spec, SliceSize::S64).unwrap();
+            let boundary =
+                BoundarySlices::extract(&oriented, &plan, SliceSize::S64, RowEncoding::Dense);
+            let policy = SchedPolicy::with_arrays(4);
+            let n = oriented.vertex_count();
+            let fresh = compose(n, &plan, &boundary, &policy, &costs(), true, true).unwrap();
+            let planned = CompositionPlan::build(&plan, &boundary, &policy, &costs()).unwrap();
+            assert_eq!(planned.placement_units(), fresh.placement_units);
+            assert_eq!(planned.arrays(), 4);
+            for threads in [1, 2] {
+                let run = planned.execute(n, &boundary, threads, true, true).unwrap();
+                assert_eq!(run.triangles, fresh.triangles);
+                assert_eq!(run.per_vertex, fresh.per_vertex);
+                assert_eq!(run.support, fresh.support);
+                assert_eq!(run.slice_pairs, fresh.slice_pairs);
+                assert_eq!(run.write_slices, fresh.write_slices);
+                assert_eq!(run.critical_path_s, fresh.critical_path_s);
+                assert_eq!(run.modelled_energy_j, fresh.modelled_energy_j);
+            }
         }
     }
 

@@ -82,7 +82,7 @@ mod plan;
 mod spec;
 
 pub use boundary::{BoundarySlices, SplitOperand};
-pub use compose::{compose, compose_census, ComposeCensus, CompositionRun};
+pub use compose::{compose, compose_census, ComposeCensus, CompositionPlan, CompositionRun};
 pub use error::{Result, ShardError};
 pub use plan::{plan_shards, ShardPlan};
 pub use spec::{ShardMode, ShardSpec};

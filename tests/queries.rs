@@ -2,8 +2,9 @@
 //! every `Query` variant from one `PreparedGraph`, and all answers
 //! agree exactly with naive CPU references computed on the raw graph —
 //! across the full generator grid and every orientation, without any
-//! re-slicing at query time (pinned via `matrices_built()`).
+//! re-slicing at query time (pinned via a `BuildScope` build counter).
 
+use tcim_repro::bitmatrix::BuildScope;
 use tcim_repro::graph::generators::{
     barabasi_albert, classic, gnm, rmat, watts_strogatz, RmatParams,
 };
@@ -56,6 +57,8 @@ fn naive_edge_support(g: &CsrGraph) -> Vec<(u32, u32, u64)> {
 /// preparation.
 #[test]
 fn backend_query_agreement_grid() {
+    let builds = BuildScope::new();
+    let _counting = builds.enter();
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
     for (name, g) in generator_grid() {
         let total = baseline::edge_iterator_merge(&g);
@@ -70,7 +73,7 @@ fn backend_query_agreement_grid() {
             .sum();
 
         let prepared = pipeline.prepare(&g);
-        let built_after_prepare = tcim_repro::bitmatrix::matrices_built();
+        let built_after_prepare = builds.builds();
         for spec in Backend::default_suite() {
             let ctx = format!("{name} on {}", spec.label());
             for query in Query::example_suite() {
@@ -123,7 +126,7 @@ fn backend_query_agreement_grid() {
         // Acceptance: every backend answered every query variant from
         // the one artifact — nothing was re-oriented or re-sliced.
         assert_eq!(
-            tcim_repro::bitmatrix::matrices_built(),
+            builds.builds(),
             built_after_prepare,
             "{name}: queries must never re-slice"
         );
@@ -138,6 +141,8 @@ fn backend_query_agreement_grid() {
 /// motif rounds.
 #[test]
 fn motif_queries_agree_with_the_oracle_across_the_grid() {
+    let builds = BuildScope::new();
+    let _counting = builds.enter();
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
     let mut suite = Backend::default_suite();
     suite.push(Backend::Sharded(ShardPolicy {
@@ -151,7 +156,7 @@ fn motif_queries_agree_with_the_oracle_across_the_grid() {
         for spec in &suite {
             pipeline.query(&prepared, spec, &Query::TotalTriangles).unwrap();
         }
-        let built = tcim_repro::bitmatrix::matrices_built();
+        let built = builds.builds();
         for spec in &suite {
             let ctx = format!("{name} on {}", spec.label());
             let report = pipeline.query(&prepared, spec, &Query::KTruss { k: 4 }).unwrap();
@@ -175,11 +180,7 @@ fn motif_queries_agree_with_the_oracle_across_the_grid() {
                 "{ctx}: four-cliques"
             );
         }
-        assert_eq!(
-            tcim_repro::bitmatrix::matrices_built(),
-            built,
-            "{name}: motif peeling must never re-slice"
-        );
+        assert_eq!(builds.builds(), built, "{name}: motif peeling must never re-slice");
     }
 }
 

@@ -11,7 +11,7 @@
 //! of them, which is the point of keeping both.
 
 use tcim_repro::bitmatrix::popcount::PopcountMethod;
-use tcim_repro::bitmatrix::EncodingPolicy;
+use tcim_repro::bitmatrix::{BuildScope, EncodingPolicy};
 use tcim_repro::graph::generators::{
     barabasi_albert, classic, gnm, rmat, watts_strogatz, RmatParams,
 };
@@ -149,6 +149,8 @@ fn golden_fixtures_match_hand_derived_values() {
 /// time — peeling mutates rows in place, it never re-slices.
 #[test]
 fn motif_answers_match_the_oracle_across_the_grid() {
+    let builds = BuildScope::new();
+    let _counting = builds.enter();
     for (name, g) in generator_grid() {
         for orientation in [Orientation::Natural, Orientation::Degree] {
             for encoding in [EncodingPolicy::ForceDense, EncodingPolicy::ForceSparse] {
@@ -165,13 +167,13 @@ fn motif_answers_match_the_oracle_across_the_grid() {
                 for backend in backends() {
                     pipeline.query(&prepared, &backend, &Query::TotalTriangles).unwrap();
                 }
-                let built = tcim_repro::bitmatrix::matrices_built();
+                let built = builds.builds();
                 for backend in backends() {
                     let ctx = format!("{name} {orientation:?} {encoding:?} {backend:?}");
                     assert_motifs_match_oracle(&pipeline, &prepared, &g, &backend, &ctx);
                 }
                 assert_eq!(
-                    tcim_repro::bitmatrix::matrices_built(),
+                    builds.builds(),
                     built,
                     "{name} {orientation:?} {encoding:?}: motif queries must never re-slice"
                 );

@@ -3,6 +3,7 @@
 //! provenance, live (incrementally maintained) graphs that survive
 //! randomized churn, and registry lifecycle.
 
+use tcim_repro::bitmatrix::BuildScope;
 use tcim_repro::graph::generators::{barabasi_albert, classic, gnm};
 use tcim_repro::service::{QueryRequest, ServiceConfig, ServiceError, TcimService};
 use tcim_repro::stream::UpdateBatch;
@@ -80,14 +81,17 @@ fn serves_concurrent_mixed_queries_across_graphs_with_provenance() {
 }
 
 /// Queries answer from the one artifact prepared at registration:
-/// nothing re-orients or re-slices at serve time, pinned via the
-/// global matrix-build counter.
+/// nothing re-orients or re-slices at serve time, pinned via a
+/// matrix-build counter scoped to this test (and carried onto the
+/// service's worker threads).
 #[test]
 fn serving_never_reslices() {
+    let builds = BuildScope::new();
+    let _counting = builds.enter();
     let service = service();
     service.register("a", &classic::wheel(60)).unwrap();
     service.register("b", &gnm(150, 900, 8).unwrap()).unwrap();
-    let built = tcim_repro::bitmatrix::matrices_built();
+    let built = builds.builds();
     let requests: Vec<QueryRequest> = Query::example_suite()
         .into_iter()
         .flat_map(|q| [QueryRequest::new("a", q.clone()), QueryRequest::new("b", q)])
@@ -95,11 +99,11 @@ fn serving_never_reslices() {
     for outcome in service.serve(&requests) {
         outcome.unwrap();
     }
-    assert_eq!(tcim_repro::bitmatrix::matrices_built(), built);
+    assert_eq!(builds.builds(), built);
     // Re-registering the same graph hits the prepared cache.
     let again = service.register("a-alias", &classic::wheel(60)).unwrap();
     assert!(again.prepared_cache_hit);
-    assert_eq!(tcim_repro::bitmatrix::matrices_built(), built);
+    assert_eq!(builds.builds(), built);
 }
 
 /// Live graphs serve the motif queries straight off the maintained

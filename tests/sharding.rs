@@ -4,6 +4,7 @@
 //! composition modes — plus the service's slice-budget auto-selection
 //! with shard provenance.
 
+use tcim_repro::bitmatrix::BuildScope;
 use tcim_repro::graph::generators::{barabasi_albert, gnm, rmat, watts_strogatz, RmatParams};
 use tcim_repro::graph::CsrGraph;
 use tcim_repro::service::{QueryRequest, ServiceConfig, TcimService};
@@ -84,16 +85,18 @@ fn sharded_matches_unsharded_across_the_grid() {
 /// new sliced matrices — partitioning happens once per (graph, policy).
 #[test]
 fn sharded_queries_reuse_the_partitioned_artifact() {
+    let builds = BuildScope::new();
+    let _counting = builds.enter();
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
     let prepared = pipeline.prepare(&gnm(512, 3600, 13).unwrap());
     let spec = sharded(4, ShardMode::OneD);
     pipeline.query(&prepared, &spec, &Query::TotalTriangles).unwrap();
-    let built = tcim_repro::bitmatrix::matrices_built();
+    let built = builds.builds();
     for query in Query::example_suite() {
         pipeline.query(&prepared, &spec, &query).unwrap();
     }
     assert_eq!(
-        tcim_repro::bitmatrix::matrices_built(),
+        builds.builds(),
         built,
         "queries after the first sharded build must not re-slice"
     );
