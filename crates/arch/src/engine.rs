@@ -295,6 +295,7 @@ mod tests {
         assert!(!run.trace.is_empty());
         // 3 row writes + 5 col accesses + 5 and/bitcount events = 13.
         assert_eq!(run.trace.len(), 13);
+        assert_eq!(run.trace.iter().copied().collect::<Vec<_>>(), fig2_events());
     }
 
     #[test]
@@ -306,6 +307,30 @@ mod tests {
         // Same event stream as the plain run: 3 row writes + 5 col
         // accesses + 5 and/bitcount events.
         assert_eq!(run.trace.len(), 13);
+        assert_eq!(run.trace.iter().copied().collect::<Vec<_>>(), fig2_events());
+    }
+
+    /// The Fig. 2 event stream, arc by arc: a row's slice is written on
+    /// its first arc, then the column slice is accessed, then the pair
+    /// is ANDed and counted. `R_0 = {1, 2}`, `R_1 = {2, 3}`,
+    /// `R_2 = {3}`; `C_1 = {0}`, `C_2 = {0, 1}`, `C_3 = {1, 2}`.
+    fn fig2_events() -> Vec<crate::KernelEvent> {
+        use crate::KernelEvent::{AndBitcount, ColHit, ColMiss, RowSliceWrite};
+        vec![
+            RowSliceWrite { row: 0, slice: 0 },
+            ColMiss { col: 1, slice: 0 },
+            AndBitcount { row: 0, col: 1, slice: 0, count: 0 },
+            ColMiss { col: 2, slice: 0 },
+            AndBitcount { row: 0, col: 2, slice: 0, count: 1 },
+            RowSliceWrite { row: 1, slice: 0 },
+            ColHit { col: 2, slice: 0 },
+            AndBitcount { row: 1, col: 2, slice: 0, count: 0 },
+            ColMiss { col: 3, slice: 0 },
+            AndBitcount { row: 1, col: 3, slice: 0, count: 1 },
+            RowSliceWrite { row: 2, slice: 0 },
+            ColHit { col: 3, slice: 0 },
+            AndBitcount { row: 2, col: 3, slice: 0, count: 0 },
+        ]
     }
 
     #[test]
