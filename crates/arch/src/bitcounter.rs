@@ -75,8 +75,10 @@ impl BitCounterModel {
     /// counter's input latch, visiting the offset of every set bit
     /// within the slice (ascending order).
     ///
-    /// This is the readout path attributed (per-vertex) counting uses:
-    /// the counter already latched the AND result to count it, so the
+    /// This is the readout attributed (per-vertex) counting models (the
+    /// kernel walk's [`Attribute`](crate::walk::Attribute) sink drains
+    /// results the same way): the counter already latched the AND
+    /// result to count it, so the
     /// host can drain the same latch to learn *which* common
     /// neighbours survived — one read-class array access per non-zero
     /// result, accounted by the caller as

@@ -8,7 +8,8 @@ use crate::characterization::PimCharacterization;
 use crate::config::PimConfig;
 use crate::costs::SliceCostModel;
 use crate::error::Result;
-use crate::runtime::{self, LocalRunResult, PimRunResult};
+use crate::runtime::{self, PimRunResult};
+use crate::walk::TriangleSink;
 
 /// The processing-in-MRAM engine: a characterized array plus the
 /// controller logic of Algorithm 1.
@@ -83,27 +84,16 @@ impl PimEngine {
         runtime::run(&self.characterization, matrix)
     }
 
-    /// Executes Algorithm 1 with per-vertex accounting; see
-    /// [`runtime::run_local`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `matrix` was built with a different slice size than the
-    /// engine configuration.
-    pub fn run_local(&self, matrix: &SlicedMatrix) -> LocalRunResult {
-        runtime::run_local(&self.characterization, matrix)
-    }
-
     /// Executes Algorithm 1 with triangle attribution, reporting every
     /// surviving triangle to `sink` (ascending matrix ids — the
-    /// [`TriangleSink`](runtime::TriangleSink) contract); see
+    /// [`TriangleSink`] contract); see
     /// [`runtime::run_attributed`].
     ///
     /// # Panics
     ///
     /// Panics if `matrix` was built with a different slice size than the
     /// engine configuration.
-    pub fn run_attributed<S: runtime::TriangleSink + ?Sized>(
+    pub fn run_attributed<S: TriangleSink + ?Sized>(
         &self,
         matrix: &SlicedMatrix,
         sink: &mut S,
@@ -121,6 +111,7 @@ impl From<PimCharacterization> for PimEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TriangleTally;
     use tcim_bitmatrix::{SliceSize, SlicedMatrixBuilder};
 
     fn fig2_matrix() -> SlicedMatrix {
@@ -234,11 +225,13 @@ mod tests {
 
     #[test]
     fn local_counts_sum_to_three_per_triangle() {
-        let run = engine().run_local(&fig2_matrix());
+        let mut tally = TriangleTally::new(4, false);
+        let run = engine().run_attributed(&fig2_matrix(), &mut tally);
         assert_eq!(run.triangles, 2);
+        let (_, per_vertex, _) = tally.into_parts();
         // Fig. 2: triangles 0-1-2 and 1-2-3 → participation 1,2,2,1.
-        assert_eq!(run.per_vertex, vec![1, 2, 2, 1]);
-        assert_eq!(run.per_vertex.iter().sum::<u64>(), 3 * run.triangles);
+        assert_eq!(per_vertex, vec![1, 2, 2, 1]);
+        assert_eq!(per_vertex.iter().sum::<u64>(), 3 * run.triangles);
         // Two of the five pairs produce non-zero counts → two readouts.
         assert_eq!(run.stats.result_readouts, 2);
         assert!(run.latency.readout_s > 0.0);
@@ -260,9 +253,11 @@ mod tests {
         let m = b.build();
         let e = engine();
         let global = e.run(&m);
-        let local = e.run_local(&m);
+        let mut tally = TriangleTally::new(m.dim(), false);
+        let local = e.run_attributed(&m, &mut tally);
         assert_eq!(local.triangles, global.triangles);
-        assert_eq!(local.per_vertex.iter().sum::<u64>(), 3 * global.triangles);
+        let (_, per_vertex, _) = tally.into_parts();
+        assert_eq!(per_vertex.iter().sum::<u64>(), 3 * global.triangles);
         // Same traffic statistics, plus the readouts.
         assert_eq!(local.stats.col_accesses(), global.stats.col_accesses());
         assert!(local.stats.result_readouts <= local.stats.and_ops);
@@ -342,7 +337,7 @@ mod tests {
         let facade = PimEngine::from_characterization(chr.clone()).run(&m);
         assert_eq!(direct.triangles, facade.triangles);
         assert_eq!(direct.stats, facade.stats);
-        let local = runtime::run_local(&chr, &m);
+        let local = runtime::run_attributed(&chr, &m, &mut TriangleTally::new(m.dim(), false));
         assert_eq!(local.triangles, direct.triangles);
     }
 }

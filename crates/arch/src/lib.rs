@@ -20,6 +20,8 @@
 //! * [`runtime`] — the run-time half: Algorithm 1 executed over a
 //!   prepared sliced matrix against a characterization.
 //! * [`PimEngine`] — the one-object facade over both halves.
+//! * [`walk`] — the one AND + BitCount walk every kernel path runs,
+//!   generic over what it accounts and how it consumes AND results.
 //! * [`SliceCostModel`] — per-operation cost hooks for external
 //!   schedulers (`tcim-sched`) that place work onto arrays themselves.
 //! * [`stats`] — access statistics behind Fig. 5 and the WRITE-saving
@@ -64,6 +66,7 @@ mod error;
 pub mod runtime;
 pub mod stats;
 pub mod sweep;
+pub mod walk;
 
 pub use bitcounter::BitCounterModel;
 pub use buffer::{AccessOutcome, ReplacementPolicy, SliceCache};
@@ -72,9 +75,7 @@ pub use config::PimConfig;
 pub use costs::SliceCostModel;
 pub use engine::PimEngine;
 pub use error::{ArchError, Result};
-pub use runtime::{
-    EnergyBreakdown, LatencyBreakdown, LocalRunResult, PimRunResult, TriangleSink,
-    TriangleTally,
-};
+pub use runtime::{EnergyBreakdown, LatencyBreakdown, PimRunResult};
 pub use stats::AccessStats;
 pub use tcim_telemetry::{EventTrace, KernelEvent};
+pub use walk::{KernelStats, TriangleSink, TriangleTally};

@@ -39,8 +39,8 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use tcim_arch::walk::{Attribute, NoAccounting, Walk};
 use tcim_arch::{SliceCostModel, TriangleSink, TriangleTally};
-use tcim_bitmatrix::popcount::visit_set_bits;
 use tcim_bitmatrix::{RowEncoding, SliceSize, SlicedRow};
 use tcim_sched::{plan_deltas, DeltaJob, SchedPolicy};
 
@@ -152,7 +152,6 @@ struct MotifState {
     adjacency: Vec<Vec<u32>>,
     rows: Option<Vec<SlicedRow>>,
     slice_size: SliceSize,
-    sparse: bool,
     kernel: KernelStats,
 }
 
@@ -180,13 +179,7 @@ impl MotifState {
                     .collect(),
             ),
         };
-        MotifState {
-            adjacency,
-            rows,
-            slice_size,
-            sparse: encoding == RowEncoding::Sparse,
-            kernel: KernelStats::default(),
-        }
+        MotifState { adjacency, rows, slice_size, kernel: KernelStats::default() }
     }
 
     /// `N(u) ∩ N(v)` over the live state: one AND+BitCount kernel
@@ -194,13 +187,9 @@ impl MotifState {
     /// the flavor's honest accounting.
     fn intersect(&mut self, u: u32, v: u32) -> (Vec<u32>, KernelSample) {
         match &self.rows {
-            Some(rows) => sliced_kernel(
-                &rows[u as usize],
-                &rows[v as usize],
-                self.slice_size.bits(),
-                self.sparse,
-                &mut self.kernel,
-            ),
+            Some(rows) => {
+                sliced_kernel(&rows[u as usize], &rows[v as usize], &mut self.kernel)
+            }
             None => {
                 let witnesses =
                     merge_sorted(&self.adjacency[u as usize], &self.adjacency[v as usize]);
@@ -214,13 +203,9 @@ impl MotifState {
     /// (the chained second AND over a re-materialized witness row).
     fn intersect_row(&mut self, c: u32, witness_row: &WitnessRow) -> (Vec<u32>, KernelSample) {
         match (&self.rows, witness_row) {
-            (Some(rows), WitnessRow::Sliced(row)) => sliced_kernel(
-                &rows[c as usize],
-                row,
-                self.slice_size.bits(),
-                self.sparse,
-                &mut self.kernel,
-            ),
+            (Some(rows), WitnessRow::Sliced(row)) => {
+                sliced_kernel(&rows[c as usize], row, &mut self.kernel)
+            }
             (None, WitnessRow::List(list)) => {
                 let xs = merge_sorted(&self.adjacency[c as usize], list);
                 self.kernel.kernel_invocations += 1;
@@ -272,34 +257,17 @@ impl MotifState {
 fn sliced_kernel(
     a: &SlicedRow,
     b: &SlicedRow,
-    slice_bits: u32,
-    sparse: bool,
     kernel: &mut KernelStats,
 ) -> (Vec<u32>, KernelSample) {
     let mut witnesses = Vec::new();
-    let mut readouts = 0u64;
-    let stats = a
-        .for_each_matching(b, |k, anded| {
-            let before = witnesses.len();
-            visit_set_bits(anded.iter().copied(), |offset| {
-                witnesses.push(k * slice_bits + offset);
-            });
-            if witnesses.len() > before {
-                readouts += 1;
-            }
-        })
-        .expect("motif rows share one universe and encoding");
-    if !sparse || stats.visited > 0 {
-        kernel.kernel_invocations += 1;
-    }
-    kernel.slice_pairs += stats.visited;
-    kernel.blocks_skipped += stats.skipped;
-    kernel.result_readouts += readouts;
+    let mut walk = Walk::new(NoAccounting, Attribute(|_, w, _| witnesses.push(w)));
+    let work = walk.arc(0, 0, [(a, b)]);
+    kernel.merge(&walk.kernel);
     let sample = KernelSample {
         valid_a: a.valid_slice_count() as u64,
         valid_b: b.valid_slice_count() as u64,
-        pairs: stats.visited,
-        readouts,
+        pairs: work.pairs,
+        readouts: work.readouts,
     };
     (witnesses, sample)
 }

@@ -14,7 +14,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tcim_arch::PimEngine;
+use tcim_arch::walk::census_arc;
+use tcim_arch::{KernelStats, PimEngine};
 use tcim_bitmatrix::{EncodingPolicy, RowEncoding, SliceSize, SliceStats, SlicedMatrix};
 use tcim_graph::{CsrGraph, Orientation, OrientedGraph};
 
@@ -132,33 +133,19 @@ impl PreparedGraph {
         let stats = matrix.stats();
         drop(slice_span);
 
-        // Price the run: the visited-pair population is exact (the same
-        // walk the controller performs, skipping what the sparse
-        // encoding proves zero), the busy time optimistic.
-        let mut slice_pairs = 0u64;
-        let mut kernel_dispatches = 0u64;
-        let mut blocks_skipped = 0u64;
-        let sparse = matrix.encoding() == RowEncoding::Sparse;
+        // Price the run: the visited-pair population is exact (the
+        // census of the walk the controller performs, skipping what the
+        // sparse encoding proves zero), the busy time optimistic.
+        let mut census = KernelStats::default();
         for (i, j) in matrix.edges() {
-            let pairs = matrix
-                .row(i)
-                .matching_stats(matrix.col(j))
-                .expect("rows and columns of one matrix always align");
-            slice_pairs += pairs.visited;
-            blocks_skipped += pairs.skipped;
-            // Mirror of the runtime dispatch rule: dense rows always
-            // launch; sparse rows launch only when the walk visited at
-            // least one mutually valid pair.
-            if !sparse || pairs.visited > 0 {
-                kernel_dispatches += 1;
-            }
+            census_arc([(matrix.row(i), matrix.col(j))], &mut census);
         }
         let costs = engine.cost_model();
         let pricing = PreparedPricing {
-            slice_pairs,
-            kernel_dispatches,
-            blocks_skipped,
-            est_busy_s: costs.estimate_busy_s(stats.valid_slices, slice_pairs),
+            slice_pairs: census.slice_pairs,
+            kernel_dispatches: census.kernel_invocations,
+            blocks_skipped: census.blocks_skipped,
+            est_busy_s: costs.estimate_busy_s(stats.valid_slices, census.slice_pairs),
             controller_s: matrix.edge_count() as f64 * costs.controller_overhead_s,
         };
 

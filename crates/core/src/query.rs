@@ -333,62 +333,9 @@ impl QueryValue {
     }
 }
 
-/// Normalized kernel accounting shared by every backend and query:
-/// the same three counters mean the same thing whether the run was
-/// serial PIM, scheduled multi-array PIM, sliced software or a CPU
-/// baseline, so reports are comparable across engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KernelStats {
-    /// Per-edge kernel dispatches: processed arcs of the oriented DAG
-    /// (identical across faithful backends on one prepared graph).
-    pub kernel_invocations: u64,
-    /// Valid slice pairs AND + BitCounted. Zero for CPU baselines,
-    /// which intersect adjacency lists instead of slices; identical
-    /// between the serial and scheduled PIM paths by construction.
-    pub slice_pairs: u64,
-    /// AND results read back out of the array — non-zero only for
-    /// attributed (per-vertex / edge-support) queries on PIM backends.
-    pub result_readouts: u64,
-    /// Mutually valid slice pairs proven zero by the sparse encoding's
-    /// byte-mask filter and skipped before the AND. Always zero on
-    /// dense-encoded graphs; `slice_pairs + blocks_skipped` is the pair
-    /// count a dense run would have computed.
-    pub blocks_skipped: u64,
-}
-
-impl KernelStats {
-    /// Accumulates `other` into `self`, counter by counter.
-    ///
-    /// This is the single accumulation primitive for every place that
-    /// sums kernel accounting — per-shard partials inside a sharded
-    /// run, the composition pass, and top-level report sums — so the
-    /// three counters can never drift apart. Merging is associative
-    /// and commutative with [`KernelStats::default`] as identity.
-    pub fn merge(&mut self, other: &KernelStats) {
-        self.kernel_invocations += other.kernel_invocations;
-        self.slice_pairs += other.slice_pairs;
-        self.result_readouts += other.result_readouts;
-        self.blocks_skipped += other.blocks_skipped;
-    }
-
-    /// [`merge`](KernelStats::merge) as a by-value fold operator, for
-    /// iterator `fold`/`reduce` chains.
-    #[must_use]
-    pub fn merged(mut self, other: &KernelStats) -> KernelStats {
-        self.merge(other);
-        self
-    }
-}
-
-impl fmt::Display for KernelStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} kernels / {} slice pairs / {} readouts",
-            self.kernel_invocations, self.slice_pairs, self.result_readouts
-        )
-    }
-}
+/// Normalized kernel accounting, counted by the one kernel walk
+/// (`tcim_arch::walk`) and shared by every backend and query.
+pub use tcim_arch::KernelStats;
 
 /// The common answer envelope every backend returns for a query:
 /// the typed value plus execution accounting.

@@ -660,18 +660,13 @@ impl<'e> ShardedBackend<'e> {
             .map_err(CoreError::Shard)?;
         drop(compose_span);
         triangles += comp.triangles;
-        kernel.merge(&KernelStats {
-            kernel_invocations: comp.kernel_invocations,
-            slice_pairs: comp.slice_pairs,
-            result_readouts: comp.result_readouts,
-            blocks_skipped: comp.blocks_skipped,
-        });
+        kernel.merge(&comp.kernel);
         stats.merge(&AccessStats {
-            edges: comp.kernel_invocations,
-            and_ops: comp.slice_pairs,
-            bitcount_ops: comp.slice_pairs,
+            edges: comp.kernel.kernel_invocations,
+            and_ops: comp.kernel.slice_pairs,
+            bitcount_ops: comp.kernel.slice_pairs,
             row_slice_writes: comp.write_slices,
-            result_readouts: comp.result_readouts,
+            result_readouts: comp.kernel.result_readouts,
             ..AccessStats::default()
         });
         energy += comp.modelled_energy_j;

@@ -8,8 +8,9 @@
 
 use std::time::{Duration, Instant};
 
+use tcim_arch::walk::{Attribute, CountOnly, NoAccounting, PairSink, Walk};
 use tcim_bitmatrix::popcount::PopcountMethod;
-use tcim_bitmatrix::{RowEncoding, SliceSize, SlicedMatrix};
+use tcim_bitmatrix::{SliceSize, SlicedMatrix};
 use tcim_graph::{CsrGraph, Orientation};
 
 use crate::error::Result;
@@ -62,28 +63,7 @@ pub struct SoftwareCount {
 /// # Ok::<(), tcim_bitmatrix::BitMatrixError>(())
 /// ```
 pub fn sliced_count(matrix: &SlicedMatrix, popcount: PopcountMethod) -> SoftwareCount {
-    let sparse = matrix.encoding() == RowEncoding::Sparse;
-    let mut triangles = 0u64;
-    let mut slice_pairs = 0u64;
-    let mut kernel_invocations = 0u64;
-    let mut blocks_skipped = 0u64;
-    for (i, j) in matrix.edges() {
-        let pair_stats = matrix
-            .row(i)
-            .for_each_matching(matrix.col(j), |_, anded| {
-                slice_pairs += 1;
-                for &w in anded {
-                    triangles +=
-                        u64::from(tcim_bitmatrix::popcount::popcount_word(w, popcount));
-                }
-            })
-            .expect("rows and columns of one matrix always align");
-        blocks_skipped += pair_stats.skipped;
-        if !sparse || pair_stats.visited > 0 {
-            kernel_invocations += 1;
-        }
-    }
-    SoftwareCount { triangles, slice_pairs, kernel_invocations, blocks_skipped }
+    software_walk(matrix, CountOnly(popcount))
 }
 
 /// Runs the AND + BitCount kernel with triangle attribution: every
@@ -96,31 +76,22 @@ pub fn sliced_count(matrix: &SlicedMatrix, popcount: PopcountMethod) -> Software
 /// method is selected.
 pub fn sliced_count_attributed(
     matrix: &SlicedMatrix,
-    mut sink: impl FnMut(u32, u32, u32),
+    sink: impl FnMut(u32, u32, u32),
 ) -> SoftwareCount {
-    let sparse = matrix.encoding() == RowEncoding::Sparse;
-    let slice_bits = matrix.slice_size().bits();
-    let mut triangles = 0u64;
-    let mut slice_pairs = 0u64;
-    let mut kernel_invocations = 0u64;
-    let mut blocks_skipped = 0u64;
-    for (i, j) in matrix.edges() {
-        let pair_stats = matrix
-            .row(i)
-            .for_each_matching(matrix.col(j), |k, anded| {
-                slice_pairs += 1;
-                tcim_bitmatrix::popcount::visit_set_bits(anded.iter().copied(), |offset| {
-                    triangles += 1;
-                    sink(i, k * slice_bits + offset, j);
-                });
-            })
-            .expect("rows and columns of one matrix always align");
-        blocks_skipped += pair_stats.skipped;
-        if !sparse || pair_stats.visited > 0 {
-            kernel_invocations += 1;
-        }
+    software_walk(matrix, Attribute(sink))
+}
+
+/// The kernel walk over `matrix` with nothing modelled: software
+/// slicing is the PIM walk minus the simulator.
+fn software_walk(matrix: &SlicedMatrix, sink: impl PairSink) -> SoftwareCount {
+    let mut walk = Walk::new(NoAccounting, sink);
+    walk.matrix(matrix);
+    SoftwareCount {
+        triangles: walk.triangles,
+        slice_pairs: walk.kernel.slice_pairs,
+        kernel_invocations: walk.kernel.kernel_invocations,
+        blocks_skipped: walk.kernel.blocks_skipped,
     }
-    SoftwareCount { triangles, slice_pairs, kernel_invocations, blocks_skipped }
 }
 
 /// Runs the sliced bitwise dataflow in software: orient, slice, then for

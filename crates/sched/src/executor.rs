@@ -8,127 +8,46 @@
 //! BitCount dataflow per edge is unchanged, only *where* and *when* each
 //! edge executes moves.
 
-use std::collections::HashSet;
-
-use tcim_arch::{
-    AccessStats, BitCounterModel, ReplacementPolicy, SliceCache, TriangleSink, TriangleTally,
-};
-use tcim_bitmatrix::{RowEncoding, SlicedMatrix};
+use tcim_arch::walk::{PairSink, PimAccounting, Walk};
+use tcim_arch::{AccessStats, ReplacementPolicy};
+use tcim_bitmatrix::SlicedMatrix;
 
 use crate::jobs::RowJob;
 
-/// What each array accumulates beyond the triangle count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Attribution {
-    /// Plain counting: the bit counter consumes AND results in place.
-    Count,
-    /// Per-vertex participation: every non-zero AND result is read back
-    /// out (one read-class access) and its bits attributed.
-    PerVertex,
-    /// Per-vertex participation plus per-arc triangle support.
-    PerVertexWithSupport,
-}
-
-/// The functional result of one array's execution.
-#[derive(Debug, Clone)]
-pub(crate) struct ArrayRun {
-    /// Triangles found by this array's slice pairs.
-    pub triangles: u64,
-    /// This array's access statistics.
-    pub stats: AccessStats,
-    /// Partial per-vertex participation over the whole vertex universe
-    /// (matrix ids); present unless the attribution was
-    /// [`Attribution::Count`].
-    pub per_vertex: Option<Vec<u64>>,
-    /// Partial per-arc triangle support triples `(i, j, count)` in
-    /// ascending matrix-id order; present only for
-    /// [`Attribution::PerVertexWithSupport`].
-    pub support: Option<Vec<(u32, u32, u64)>>,
-}
-
-/// Executes the assigned `jobs` (ascending row order) on one array.
-pub(crate) fn run_array(
+/// Executes the assigned `jobs` (ascending row order) on one array
+/// whose column-slice buffer holds `column_capacity` slices, feeding
+/// every AND result to `sink`. Returns the array's triangles, access
+/// statistics and the sink.
+pub(crate) fn run_array<S: PairSink>(
     matrix: &SlicedMatrix,
     jobs: &[&RowJob],
-    bitcounter: &BitCounterModel,
     column_capacity: usize,
     replacement: ReplacementPolicy,
     replacement_seed: u64,
-    attribution: Attribution,
-) -> ArrayRun {
-    let mut cache = SliceCache::new(column_capacity.max(1), replacement, replacement_seed);
-    let mut stats = AccessStats::default();
-    let mut triangles = 0u64;
-    let mut row_loaded: HashSet<u32> = HashSet::new();
-    let slice_bits = matrix.slice_size().bits();
-    let mut tally = match attribution {
-        Attribution::Count => None,
-        Attribution::PerVertex => Some(TriangleTally::new(matrix.dim(), false)),
-        Attribution::PerVertexWithSupport => Some(TriangleTally::new(matrix.dim(), true)),
-    };
-
-    let sparse = matrix.encoding() == RowEncoding::Sparse;
+    sink: S,
+) -> (u64, AccessStats, S) {
+    let accounting =
+        PimAccounting::new(column_capacity.max(1), replacement, replacement_seed, 0);
+    let mut walk = Walk::new(accounting, sink);
     for job in jobs {
-        let i = job.row;
-        // A new row overwrites the reserved row region (§IV-A).
-        row_loaded.clear();
-        let row = matrix.row(i);
+        let row = matrix.row(job.row);
         for &j in &job.cols {
-            let pair_stats = row
-                .for_each_matching(matrix.col(j), |k, anded| {
-                    if row_loaded.insert(k) {
-                        stats.row_slice_writes += 1;
-                    }
-                    let key = (u64::from(j) << 32) | u64::from(k);
-                    match cache.access(key) {
-                        tcim_arch::AccessOutcome::Hit => stats.col_hits += 1,
-                        tcim_arch::AccessOutcome::Miss => stats.col_misses += 1,
-                        tcim_arch::AccessOutcome::Exchange { .. } => stats.col_exchanges += 1,
-                    }
-                    let count = bitcounter.count(anded);
-                    triangles += count;
-                    stats.and_ops += 1;
-                    stats.bitcount_ops += 1;
-                    if count > 0 {
-                        if let Some(tally) = tally.as_mut() {
-                            // Read the surviving bits back out and attribute
-                            // the triangle exactly as the serial attributed
-                            // run does: a surviving bit w satisfies
-                            // i < w < j (the `TriangleSink` contract).
-                            stats.result_readouts += 1;
-                            bitcounter.read_out(anded, |offset| {
-                                tally.triangle(i, k * slice_bits + offset, j);
-                            });
-                        }
-                    }
-                })
-                .expect("rows and columns of one matrix always align");
-            stats.blocks_skipped += pair_stats.skipped;
-            // Sparse matrices skip the per-edge dispatch entirely when
-            // the summary walk visits nothing (mirrors the serial
-            // engine's accounting).
-            if !sparse || pair_stats.visited > 0 {
-                stats.edges += 1;
-            }
+            walk.arc(job.row, j, [(row, matrix.col(j))]);
         }
     }
-
-    let (per_vertex, support) = match tally {
-        Some(tally) => {
-            let (_, per_vertex, support) = tally.into_parts();
-            (Some(per_vertex), support)
-        }
-        None => (None, None),
-    };
-    ArrayRun { triangles, stats, per_vertex, support }
+    let (stats, _) = walk.accounting.finish(&walk.kernel);
+    (walk.triangles, stats, walk.sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::jobs::decompose;
+    use tcim_arch::walk::CountOnly;
     use tcim_arch::{PimConfig, PimEngine};
-    use tcim_bitmatrix::{SliceSize, SlicedMatrixBuilder};
+    use tcim_bitmatrix::{PopcountMethod, SliceSize, SlicedMatrixBuilder};
+
+    const COUNT: CountOnly = CountOnly(PopcountMethod::Lut8);
 
     fn fig2() -> SlicedMatrix {
         let mut b = SlicedMatrixBuilder::new(4, SliceSize::S64);
@@ -144,19 +63,11 @@ mod tests {
         let engine = PimEngine::new(&PimConfig::default()).unwrap();
         let jobs = decompose(&m, &engine.cost_model());
         let refs: Vec<&RowJob> = jobs.iter().collect();
-        let run = run_array(
-            &m,
-            &refs,
-            engine.bitcounter(),
-            1024,
-            ReplacementPolicy::Lru,
-            0,
-            Attribution::Count,
-        );
+        let run = run_array(&m, &refs, 1024, ReplacementPolicy::Lru, 0, COUNT);
         let serial = engine.run(&m);
-        assert_eq!(run.triangles, serial.triangles);
-        assert_eq!(run.stats.and_ops, serial.stats.and_ops);
-        assert_eq!(run.stats.row_slice_writes, serial.stats.row_slice_writes);
+        assert_eq!(run.0, serial.triangles);
+        assert_eq!(run.1.and_ops, serial.stats.and_ops);
+        assert_eq!(run.1.row_slice_writes, serial.stats.row_slice_writes);
     }
 
     #[test]
@@ -167,26 +78,10 @@ mod tests {
         let serial = engine.run(&m).triangles;
         let first: Vec<&RowJob> = jobs.iter().take(1).collect();
         let rest: Vec<&RowJob> = jobs.iter().skip(1).collect();
-        let a = run_array(
-            &m,
-            &first,
-            engine.bitcounter(),
-            64,
-            ReplacementPolicy::Lru,
-            0,
-            Attribution::Count,
-        );
-        let b = run_array(
-            &m,
-            &rest,
-            engine.bitcounter(),
-            64,
-            ReplacementPolicy::Lru,
-            1,
-            Attribution::Count,
-        );
-        assert_eq!(a.triangles + b.triangles, serial);
-        assert_eq!(a.stats.edges + b.stats.edges, 5);
+        let a = run_array(&m, &first, 64, ReplacementPolicy::Lru, 0, COUNT);
+        let b = run_array(&m, &rest, 64, ReplacementPolicy::Lru, 1, COUNT);
+        assert_eq!(a.0 + b.0, serial);
+        assert_eq!(a.1.edges + b.1.edges, 5);
     }
 
     #[test]
@@ -202,25 +97,9 @@ mod tests {
         let engine = PimEngine::new(&PimConfig::default()).unwrap();
         let jobs = decompose(&m, &engine.cost_model());
         let refs: Vec<&RowJob> = jobs.iter().collect();
-        let roomy = run_array(
-            &m,
-            &refs,
-            engine.bitcounter(),
-            4096,
-            ReplacementPolicy::Lru,
-            0,
-            Attribution::Count,
-        );
-        let tight = run_array(
-            &m,
-            &refs,
-            engine.bitcounter(),
-            1,
-            ReplacementPolicy::Lru,
-            0,
-            Attribution::Count,
-        );
-        assert_eq!(roomy.triangles, tight.triangles);
-        assert!(tight.stats.col_exchanges > roomy.stats.col_exchanges);
+        let roomy = run_array(&m, &refs, 4096, ReplacementPolicy::Lru, 0, COUNT);
+        let tight = run_array(&m, &refs, 1, ReplacementPolicy::Lru, 0, COUNT);
+        assert_eq!(roomy.0, tight.0);
+        assert!(tight.1.col_exchanges > roomy.1.col_exchanges);
     }
 }

@@ -12,13 +12,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use tcim_arch::{PimEngine, SliceCostModel};
-use tcim_bitmatrix::{BuildScope, SlicedMatrix};
-
-use std::collections::BTreeMap;
+use tcim_arch::walk::{Attribute, CountOnly, PairSink};
+use tcim_arch::{PimEngine, SliceCostModel, TriangleTally};
+use tcim_bitmatrix::{BuildScope, PopcountMethod, SlicedMatrix};
 
 use crate::error::{Result, SchedError};
-use crate::executor::{run_array, ArrayRun, Attribution};
+use crate::executor::run_array;
 use crate::jobs::RowJob;
 use crate::placement::Placement;
 use crate::plan::{PlanKey, SchedulePlan};
@@ -53,7 +52,6 @@ pub struct AttributedScheduledRun {
 /// (e.g. cached beside a prepared graph) without re-planning.
 #[derive(Debug)]
 pub struct ScheduledRun<'a> {
-    engine: &'a PimEngine,
     matrix: &'a SlicedMatrix,
     policy: SchedPolicy,
     plan: Arc<SchedulePlan>,
@@ -98,7 +96,6 @@ impl<'a> ScheduledRun<'a> {
         let plan = SchedulePlan::build(matrix, key);
         drop(schedule_span);
         Ok(ScheduledRun {
-            engine,
             matrix,
             policy: policy.clone(),
             plan: Arc::new(plan),
@@ -128,7 +125,7 @@ impl<'a> ScheduledRun<'a> {
         if key != *plan.key() || !plan.fits(matrix) {
             return Err(SchedError::PlanMismatch);
         }
-        Ok(ScheduledRun { engine, matrix, policy: policy.clone(), plan, plan_cached: cached })
+        Ok(ScheduledRun { matrix, policy: policy.clone(), plan, plan_cached: cached })
     }
 
     /// The placement this run will execute.
@@ -145,7 +142,8 @@ impl<'a> ScheduledRun<'a> {
     /// threads, merges triangle counts and statistics deterministically,
     /// and aggregates inter-array timing/energy.
     pub fn execute(&self) -> ScheduledReport {
-        self.execute_mode(Attribution::Count).report
+        // The simulated bit counter is the synthesized 8→256-LUT module.
+        self.execute_with(|| CountOnly(PopcountMethod::Lut8)).0
     }
 
     /// Executes the planned run with triangle attribution: every array
@@ -158,14 +156,23 @@ impl<'a> ScheduledRun<'a> {
     /// priced into the report's critical path and energy, mirroring the
     /// serial engine's attributed run.
     pub fn execute_attributed(&self, need_support: bool) -> AttributedScheduledRun {
-        self.execute_mode(if need_support {
-            Attribution::PerVertexWithSupport
-        } else {
-            Attribution::PerVertex
-        })
+        let dim = self.matrix.dim();
+        let (report, sinks) =
+            self.execute_with(|| Attribute(TriangleTally::new(dim, need_support)));
+        let mut total = TriangleTally::new(dim, need_support);
+        for Attribute(tally) in sinks {
+            total.merge(tally);
+        }
+        let (_, per_vertex, support) = total.into_parts();
+        AttributedScheduledRun { report, per_vertex, support }
     }
 
-    fn execute_mode(&self, attribution: Attribution) -> AttributedScheduledRun {
+    /// Runs every array's share with its own sink from `sink`; the
+    /// sinks come back in array order.
+    fn execute_with<S: PairSink + Send>(
+        &self,
+        sink: impl Fn() -> S + Sync,
+    ) -> (ScheduledReport, Vec<S>) {
         let arrays = self.policy.arrays;
         let placement = self.plan.placement();
         let per_array_jobs: Vec<Vec<&RowJob>> = (0..arrays)
@@ -180,7 +187,7 @@ impl<'a> ScheduledRun<'a> {
         // worker threads, which the calling thread's profiler cannot
         // observe, so the array phase is timed as a unit here.
         let array_span = tcim_telemetry::span("array");
-        let runs: Vec<ArrayRun> = parallel_map_indexed(arrays, self.host_threads(), |a| {
+        let runs = parallel_map_indexed(arrays, self.host_threads(), |a| {
             let jobs = &per_array_jobs[a];
             // Reserve the widest assigned row inside this array's
             // share of the buffer, exactly like the serial engine
@@ -189,40 +196,20 @@ impl<'a> ScheduledRun<'a> {
             run_array(
                 self.matrix,
                 jobs,
-                self.engine.bitcounter(),
                 capacity.saturating_sub(row_reserve).max(1),
                 replacement,
                 base_seed.wrapping_add(a as u64),
-                attribution,
+                sink(),
             )
         });
         drop(array_span);
         let host_sim_time = start.elapsed();
 
         // Deterministic merge: array order, independent of thread timing.
-        let triangles = runs.iter().map(|r| r.triangles).sum();
+        let triangles = runs.iter().map(|r| r.0).sum();
         let rows_per_array: Vec<usize> =
             per_array_jobs.iter().map(std::vec::Vec::len).collect();
-        let mut per_vertex = vec![0u64; self.matrix.dim()];
-        let mut support: Option<BTreeMap<(u32, u32), u64>> = match attribution {
-            Attribution::PerVertexWithSupport => Some(BTreeMap::new()),
-            _ => None,
-        };
-        let mut stats_per_array = Vec::with_capacity(runs.len());
-        for run in runs {
-            let ArrayRun { stats, per_vertex: partial, support: partial_support, .. } = run;
-            stats_per_array.push(stats);
-            if let Some(partial) = partial {
-                for (total, part) in per_vertex.iter_mut().zip(&partial) {
-                    *total += part;
-                }
-            }
-            if let (Some(map), Some(partial_support)) = (support.as_mut(), partial_support) {
-                for (i, j, count) in partial_support {
-                    *map.entry((i, j)).or_insert(0) += count;
-                }
-            }
-        }
+        let (stats_per_array, sinks) = runs.into_iter().map(|(_, s, t)| (s, t)).unzip();
         let report = ScheduledReport::assemble(
             triangles,
             self.policy.clone(),
@@ -235,11 +222,7 @@ impl<'a> ScheduledRun<'a> {
             },
             host_sim_time,
         );
-        AttributedScheduledRun {
-            report,
-            per_vertex,
-            support: support.map(|map| map.into_iter().map(|((i, j), c)| (i, j, c)).collect()),
-        }
+        (report, sinks)
     }
 
     fn host_threads(&self) -> usize {
@@ -446,13 +429,15 @@ mod tests {
     fn attributed_run_matches_serial_local_counts() {
         let e = engine();
         let m = wheel_matrix(120);
-        let serial = e.run_local(&m);
+        let mut tally = TriangleTally::new(m.dim(), false);
+        let serial = e.run_attributed(&m, &mut tally);
+        let (_, serial_per_vertex, _) = tally.into_parts();
         for arrays in [1usize, 2, 4, 8] {
             let policy =
                 SchedPolicy { arrays, host_threads: Some(2), ..SchedPolicy::default() };
             let run = ScheduledRun::plan(&e, &m, &policy).unwrap().execute_attributed(true);
             assert_eq!(run.report.triangles, serial.triangles, "{arrays} arrays");
-            assert_eq!(run.per_vertex, serial.per_vertex, "{arrays} arrays");
+            assert_eq!(run.per_vertex, serial_per_vertex, "{arrays} arrays");
             assert_eq!(run.report.stats.result_readouts, serial.stats.result_readouts);
             // Every triangle contributes to exactly three arcs.
             let support = run.support.unwrap();

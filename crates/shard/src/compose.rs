@@ -19,9 +19,9 @@
 //! out when attribution is requested, exactly like the monolithic
 //! attributed run.
 
-use tcim_arch::{SliceCostModel, TriangleSink, TriangleTally};
-use tcim_bitmatrix::popcount::{popcount_word, visit_set_bits, PopcountMethod};
-use tcim_bitmatrix::RowEncoding;
+use tcim_arch::walk::{census_arc, Attribute, CountOnly, NoAccounting, PairSink, Walk};
+use tcim_arch::{KernelStats, SliceCostModel, TriangleTally};
+use tcim_bitmatrix::{PopcountMethod, SlicedRow};
 use tcim_sched::{parallel_map_indexed, plan_deltas, DeltaJob, SchedPolicy};
 
 use crate::boundary::{BoundarySlices, SplitOperand};
@@ -40,18 +40,12 @@ pub struct CompositionRun {
     /// Per-arc triangle support `(i, j, count)` over global oriented
     /// arcs, ascending; present only when support was requested.
     pub support: Option<Vec<(u32, u32, u64)>>,
-    /// Kernel dispatches: one per cross-shard arc on dense operands;
-    /// sparse operands skip arcs whose summary walk visits nothing.
-    pub kernel_invocations: u64,
-    /// Valid slice pairs AND + BitCounted across all region sub-passes
-    /// (equal to the monolithic pair count over the same arcs on dense
-    /// operands; sparse operands skip byte-disjoint pairs).
-    pub slice_pairs: u64,
-    /// Mutually valid pairs proven zero by the sparse byte-mask filter
-    /// and skipped before the AND (zero on dense operands).
-    pub blocks_skipped: u64,
-    /// Non-zero AND results read back out (attributed runs only).
-    pub result_readouts: u64,
+    /// Kernel accounting: one dispatch per cross-shard arc on dense
+    /// operands (sparse operands skip arcs whose summary walk visits
+    /// nothing); slice pairs summed over the region sub-passes (equal
+    /// to the monolithic pair count over the same arcs on dense
+    /// operands); readouts only on attributed runs.
+    pub kernel: KernelStats,
     /// Operand slices written into arrays.
     pub write_slices: u64,
     /// Modelled critical path of the pass (serial host dispatch plus
@@ -68,7 +62,7 @@ pub struct CompositionRun {
 }
 
 /// The structural kernel census of a composition pass, computed
-/// without executing any kernels.
+/// without executing any kernels (its `result_readouts` stay zero).
 ///
 /// The composition's dispatch accounting is *structural*: whether an
 /// arc dispatches and how many slice pairs it visits depend only on
@@ -78,58 +72,39 @@ pub struct CompositionRun {
 /// [`CompositionRun`]'s `kernel_invocations` / `slice_pairs` /
 /// `blocks_skipped` bit-exactly — which is what query EXPLAIN plans
 /// rely on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ComposeCensus {
-    /// Kernel dispatches the pass will make (one per cross arc on
-    /// dense operands; sparse arcs whose sub-passes all filter to
-    /// nothing are skipped).
-    pub kernel_invocations: u64,
-    /// Valid slice pairs the pass will AND + BitCount.
-    pub slice_pairs: u64,
-    /// Mutually valid pairs the sparse byte-mask filter will skip.
-    pub blocks_skipped: u64,
-}
+pub type ComposeCensus = KernelStats;
 
 /// Walks the composition pass's arcs without executing kernels and
 /// returns the exact dispatch census the pass will produce (the same
-/// per-arc rule as [`compose`]'s inner loop, minus the ANDs).
+/// per-arc census as [`compose`]'s walk, minus the ANDs).
 ///
 /// # Errors
 ///
 /// Returns [`ShardError::MissingBoundary`] when an arc's operands were
 /// not extracted (an internal invariant violation).
 pub fn compose_census(boundary: &BoundarySlices) -> Result<ComposeCensus> {
-    let mut census = ComposeCensus::default();
+    let mut census = KernelStats::default();
     for &(a, c) in boundary.cross_arcs() {
         let row = operand(boundary.row(a), a, "row")?;
         let col = operand(boundary.col(c), c, "column")?;
-        let sparse = row.local.encoding() == RowEncoding::Sparse;
-        let pairs_before = census.slice_pairs;
-        for (left, right) in [
-            (&row.local, &col.boundary),
-            (&row.boundary, &col.boundary),
-            (&row.boundary, &col.local),
-        ] {
-            let pair_stats = left
-                .for_each_matching_index(right, |_| {})
-                .expect("boundary operands share slice size and universe");
-            census.slice_pairs += pair_stats.visited;
-            census.blocks_skipped += pair_stats.skipped;
-        }
-        if !sparse || census.slice_pairs > pairs_before {
-            census.kernel_invocations += 1;
-        }
+        census_arc(regions(row, col), &mut census);
     }
     Ok(census)
+}
+
+/// The three region-disjoint operand pairs of cross arc `(row, col)`
+/// (see the module docs); they dispatch as one kernel.
+fn regions<'b>(
+    row: &'b SplitOperand,
+    col: &'b SplitOperand,
+) -> [(&'b SlicedRow, &'b SlicedRow); 3] {
+    [(&row.local, &col.boundary), (&row.boundary, &col.boundary), (&row.boundary, &col.local)]
 }
 
 /// One worker array's partial results.
 struct ArrayPartial {
     triangles: u64,
-    invocations: u64,
-    pairs: u64,
-    skipped: u64,
-    readouts: u64,
+    kernel: KernelStats,
     writes: u64,
     busy_s: f64,
     tally: Option<TriangleTally>,
@@ -301,59 +276,36 @@ impl CompositionPlan {
         // order afterwards.
         let partials: Vec<Result<ArrayPartial>> =
             parallel_map_indexed(per_array.len(), host_threads, |array| {
-                let mut partial = ArrayPartial {
-                    triangles: 0,
-                    invocations: 0,
-                    pairs: 0,
-                    skipped: 0,
-                    readouts: 0,
-                    writes: 0,
-                    busy_s: 0.0,
-                    tally: attributed.then(|| TriangleTally::new(vertex_count, need_support)),
-                };
-                for &unit in &per_array[array] {
-                    self.units.with_unit(unit as usize, |unit| {
-                        run_unit(unit, arcs, boundary, &mut partial)
-                    })?;
+                let units = &per_array[array];
+                if attributed {
+                    let tally = TriangleTally::new(vertex_count, need_support);
+                    let (mut partial, Attribute(tally)) =
+                        self.run_array(units, boundary, Attribute(tally))?;
+                    partial.tally = Some(tally);
+                    Ok(partial)
+                } else {
+                    Ok(self.run_array(units, boundary, CountOnly(PopcountMethod::Native))?.0)
                 }
-                partial.busy_s = costs.write_latency_s * partial.writes as f64
-                    + (costs.and_latency_s + costs.bitcount_latency_s) * partial.pairs as f64
-                    + costs.readout_latency_s * partial.readouts as f64;
-                Ok(partial)
             });
         let mut triangles = 0u64;
-        let mut invocations = 0u64;
-        let mut pairs = 0u64;
-        let mut skipped = 0u64;
-        let mut readouts = 0u64;
+        let mut kernel = KernelStats::default();
         let mut writes = 0u64;
         let mut busy: Vec<f64> = Vec::with_capacity(per_array.len());
-        let mut per_vertex = attributed.then(|| vec![0u64; vertex_count]);
-        let mut support: Option<std::collections::BTreeMap<(u32, u32), u64>> =
-            (attributed && need_support).then(std::collections::BTreeMap::new);
+        let mut tally = attributed.then(|| TriangleTally::new(vertex_count, need_support));
         for partial in partials {
             let partial = partial?;
             triangles += partial.triangles;
-            invocations += partial.invocations;
-            pairs += partial.pairs;
-            skipped += partial.skipped;
-            readouts += partial.readouts;
+            kernel.merge(&partial.kernel);
             writes += partial.writes;
             busy.push(partial.busy_s);
-            if let Some(tally) = partial.tally {
-                let (_, pv, sp) = tally.into_parts();
-                if let Some(total) = per_vertex.as_mut() {
-                    for (t, p) in total.iter_mut().zip(&pv) {
-                        *t += p;
-                    }
-                }
-                if let (Some(map), Some(sp)) = (support.as_mut(), sp) {
-                    for (i, j, c) in sp {
-                        *map.entry((i, j)).or_insert(0) += c;
-                    }
-                }
+            if let (Some(total), Some(part)) = (tally.as_mut(), partial.tally) {
+                total.merge(part);
             }
         }
+        let (per_vertex, support) = match tally.map(TriangleTally::into_parts) {
+            Some((_, per_vertex, support)) => (Some(per_vertex), support),
+            None => (None, None),
+        };
 
         // Host dispatch stays serial (one controller), array work runs on
         // the busiest array's clock.
@@ -362,23 +314,52 @@ impl CompositionPlan {
         let mean_busy =
             if busy.is_empty() { 0.0 } else { busy.iter().sum::<f64>() / busy.len() as f64 };
         let energy = costs.write_energy_j * writes as f64
-            + (costs.and_energy_j + costs.bitcount_energy_j) * pairs as f64
-            + costs.readout_energy_j * readouts as f64;
+            + (costs.and_energy_j + costs.bitcount_energy_j) * kernel.slice_pairs as f64
+            + costs.readout_energy_j * kernel.result_readouts as f64;
 
         Ok(CompositionRun {
             triangles,
             per_vertex,
-            support: support.map(|map| map.into_iter().map(|((i, j), c)| (i, j, c)).collect()),
-            kernel_invocations: invocations,
-            slice_pairs: pairs,
-            blocks_skipped: skipped,
-            result_readouts: readouts,
+            support,
+            kernel,
             write_slices: writes,
             critical_path_s: host_s + max_busy,
             modelled_energy_j: energy,
             imbalance: if mean_busy > 0.0 { max_busy / mean_busy } else { 1.0 },
             placement_units: self.units.len(),
         })
+    }
+
+    /// Runs one array's placement `units` through the kernel walk,
+    /// feeding every AND result to `sink`; returns the array's partial
+    /// (without a tally) and the sink.
+    fn run_array<S: PairSink>(
+        &self,
+        units: &[u32],
+        boundary: &BoundarySlices,
+        sink: S,
+    ) -> Result<(ArrayPartial, S)> {
+        let arcs = boundary.cross_arcs();
+        let mut walk = Walk::new(NoAccounting, sink);
+        let mut writes = 0u64;
+        for &unit in units {
+            self.units.with_unit(unit as usize, |unit| {
+                run_unit(unit, arcs, boundary, &mut walk, &mut writes)
+            })?;
+        }
+        let costs = &self.costs;
+        let busy_s = costs.write_latency_s * writes as f64
+            + (costs.and_latency_s + costs.bitcount_latency_s)
+                * walk.kernel.slice_pairs as f64
+            + costs.readout_latency_s * walk.kernel.result_readouts as f64;
+        let partial = ArrayPartial {
+            triangles: walk.triangles,
+            kernel: walk.kernel,
+            writes,
+            busy_s,
+            tally: None,
+        };
+        Ok((partial, walk.sink))
     }
 }
 
@@ -421,13 +402,14 @@ fn operand<'a>(
 }
 
 /// Executes one placement unit's arcs on one array: every arc runs its
-/// three region sub-passes, counting operand writes with per-unit
-/// reuse (a 2D block writes each distinct operand once).
-fn run_unit(
+/// three region sub-passes as one kernel, counting operand writes with
+/// per-unit reuse (a 2D block writes each distinct operand once).
+fn run_unit<S: PairSink>(
     unit: &[u32],
     arcs: &[(u32, u32)],
     boundary: &BoundarySlices,
-    partial: &mut ArrayPartial,
+    walk: &mut Walk<NoAccounting, S>,
+    writes: &mut u64,
 ) -> Result<()> {
     let mut seen_rows: std::collections::HashSet<u32> = std::collections::HashSet::new();
     let mut seen_cols: std::collections::HashSet<u32> = std::collections::HashSet::new();
@@ -436,44 +418,12 @@ fn run_unit(
         let row = operand(boundary.row(a), a, "row")?;
         let col = operand(boundary.col(c), c, "column")?;
         if seen_rows.insert(a) {
-            partial.writes += row.valid_slices();
+            *writes += row.valid_slices();
         }
         if seen_cols.insert(c) {
-            partial.writes += col.valid_slices();
+            *writes += col.valid_slices();
         }
-        // A sparse arc whose three sub-passes all filter to nothing is
-        // never dispatched; dense arcs always are.
-        let sparse = row.local.encoding() == RowEncoding::Sparse;
-        let pairs_before = partial.pairs;
-        for (left, right) in [
-            (&row.local, &col.boundary),
-            (&row.boundary, &col.boundary),
-            (&row.boundary, &col.local),
-        ] {
-            let slice_bits = left.slice_size().bits();
-            let pair_stats = left
-                .for_each_matching(right, |slice, anded| {
-                    partial.pairs += 1;
-                    let count: u64 = anded
-                        .iter()
-                        .map(|&w| u64::from(popcount_word(w, PopcountMethod::Native)))
-                        .sum();
-                    partial.triangles += count;
-                    if count > 0 {
-                        if let Some(tally) = partial.tally.as_mut() {
-                            partial.readouts += 1;
-                            visit_set_bits(anded.iter().copied(), |offset| {
-                                tally.triangle(a, slice * slice_bits + offset, c);
-                            });
-                        }
-                    }
-                })
-                .expect("boundary operands share slice size and universe");
-            partial.skipped += pair_stats.skipped;
-        }
-        if !sparse || partial.pairs > pairs_before {
-            partial.invocations += 1;
-        }
+        walk.arc(a, c, regions(row, col));
     }
     Ok(())
 }
@@ -484,7 +434,7 @@ mod tests {
     use crate::plan::plan_shards;
     use crate::spec::ShardSpec;
     use tcim_arch::{PimConfig, PimEngine};
-    use tcim_bitmatrix::SliceSize;
+    use tcim_bitmatrix::{RowEncoding, SliceSize};
     use tcim_graph::generators::gnm;
     use tcim_graph::{CsrGraph, Orientation, OrientedGraph};
 
@@ -549,8 +499,8 @@ mod tests {
             )
             .unwrap();
             assert_eq!(run.triangles, cross_reference(&oriented, &plan), "{shards} shards");
-            assert_eq!(run.kernel_invocations, plan.cross_arcs());
-            assert_eq!(run.result_readouts, 0, "count-only runs read nothing out");
+            assert_eq!(run.kernel.kernel_invocations, plan.cross_arcs());
+            assert_eq!(run.kernel.result_readouts, 0, "count-only runs read nothing out");
         }
     }
 
@@ -561,7 +511,7 @@ mod tests {
         assert_eq!(pv.iter().sum::<u64>(), 3 * run.triangles);
         let support = run.support.as_ref().unwrap();
         assert_eq!(support.iter().map(|&(_, _, c)| c).sum::<u64>(), 3 * run.triangles);
-        assert!(run.result_readouts > 0);
+        assert!(run.kernel.result_readouts > 0);
         assert!(run.critical_path_s > 0.0);
         assert!(run.modelled_energy_j > 0.0);
     }
@@ -571,7 +521,7 @@ mod tests {
         let (_, _, one_d) = fixture(4, false);
         let (_, _, two_d) = fixture(4, true);
         assert_eq!(one_d.triangles, two_d.triangles);
-        assert_eq!(one_d.slice_pairs, two_d.slice_pairs);
+        assert_eq!(one_d.kernel.slice_pairs, two_d.kernel.slice_pairs);
         assert_eq!(one_d.per_vertex, two_d.per_vertex);
         assert_eq!(one_d.support, two_d.support);
         assert!(
@@ -627,7 +577,7 @@ mod tests {
             );
             expected += row.matching_slices(&col).unwrap().count() as u64;
         }
-        assert_eq!(run.slice_pairs, expected);
+        assert_eq!(run.kernel.slice_pairs, expected);
     }
 
     #[test]
@@ -648,9 +598,9 @@ mod tests {
                 false,
             )
             .unwrap();
-            assert_eq!(census.kernel_invocations, run.kernel_invocations, "{encoding}");
-            assert_eq!(census.slice_pairs, run.slice_pairs, "{encoding}");
-            assert_eq!(census.blocks_skipped, run.blocks_skipped, "{encoding}");
+            assert_eq!(census.kernel_invocations, run.kernel.kernel_invocations, "{encoding}");
+            assert_eq!(census.slice_pairs, run.kernel.slice_pairs, "{encoding}");
+            assert_eq!(census.blocks_skipped, run.kernel.blocks_skipped, "{encoding}");
         }
     }
 
@@ -674,7 +624,7 @@ mod tests {
                 assert_eq!(run.triangles, fresh.triangles);
                 assert_eq!(run.per_vertex, fresh.per_vertex);
                 assert_eq!(run.support, fresh.support);
-                assert_eq!(run.slice_pairs, fresh.slice_pairs);
+                assert_eq!(run.kernel.slice_pairs, fresh.kernel.slice_pairs);
                 assert_eq!(run.write_slices, fresh.write_slices);
                 assert_eq!(run.critical_path_s, fresh.critical_path_s);
                 assert_eq!(run.modelled_energy_j, fresh.modelled_energy_j);
@@ -700,7 +650,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(run.triangles, 0);
-        assert_eq!(run.slice_pairs, 0);
+        assert_eq!(run.kernel.slice_pairs, 0);
         assert_eq!(run.imbalance, 1.0);
         assert_eq!(run.placement_units, 0);
     }

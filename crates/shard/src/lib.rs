@@ -68,7 +68,7 @@
 //!     false,
 //!     false,
 //! )?;
-//! assert_eq!(run.kernel_invocations, plan.cross_arcs());
+//! assert_eq!(run.kernel.kernel_invocations, plan.cross_arcs());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -41,8 +41,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use tcim_arch::walk::{Attribute, CountOnly, NoAccounting, Walk};
 use tcim_arch::SliceCostModel;
-use tcim_bitmatrix::{PairStats, RowEncoding, SliceSize, SlicedRow};
+use tcim_bitmatrix::{PopcountMethod, RowEncoding, SliceSize, SlicedRow};
 use tcim_core::{Backend, PreparedGraph, Query, TcimConfig, TcimPipeline};
 use tcim_graph::CsrGraph;
 use tcim_sched::{parallel_map_indexed, plan_deltas, DeltaJob, SchedPolicy};
@@ -294,18 +295,15 @@ impl DynamicGraph {
     /// and skipped (provenance for serving layers).
     pub fn edge_support(&self) -> (Vec<(u32, u32, u64)>, u64, u64) {
         let mut support = Vec::with_capacity(self.edges);
-        let mut slice_pairs = 0u64;
-        let mut skipped = 0u64;
+        let mut walk = Walk::new(NoAccounting, CountOnly(PopcountMethod::Native));
         for (u, list) in self.adjacency.iter().enumerate() {
             let u = u as u32;
             for &v in list.iter().filter(|&&v| v > u) {
-                let (common, stats) = kernel(&self.rows[u as usize], &self.rows[v as usize]);
-                slice_pairs += stats.visited;
-                skipped += stats.skipped;
-                support.push((u, v, common));
+                let work = walk.arc(u, v, [(&self.rows[u as usize], &self.rows[v as usize])]);
+                support.push((u, v, work.count));
             }
         }
-        (support, slice_pairs, skipped)
+        (support, walk.kernel.slice_pairs, walk.kernel.blocks_skipped)
     }
 
     /// The live k-truss decomposition: trussness for every current
@@ -719,7 +717,6 @@ impl DynamicGraph {
             .collect();
         let plan = plan_deltas(&jobs, &plan_policy)?;
 
-        let slice_bits = self.slice_size.bits();
         let results = if fan_out {
             let rows = &self.rows;
             let per_array = plan.per_array_jobs();
@@ -731,14 +728,7 @@ impl DynamicGraph {
                         .iter()
                         .map(|&k| {
                             let m = &members[k];
-                            (
-                                k,
-                                kernel_attributed(
-                                    &rows[m.u as usize],
-                                    &rows[m.v as usize],
-                                    slice_bits,
-                                ),
-                            )
+                            (k, delta_kernel(&rows[m.u as usize], &rows[m.v as usize]))
                         })
                         .collect()
                 },
@@ -753,13 +743,7 @@ impl DynamicGraph {
         } else {
             members
                 .iter()
-                .map(|m| {
-                    kernel_attributed(
-                        &self.rows[m.u as usize],
-                        &self.rows[m.v as usize],
-                        slice_bits,
-                    )
-                })
+                .map(|m| delta_kernel(&self.rows[m.u as usize], &self.rows[m.v as usize]))
                 .collect()
         };
         Ok((results, plan.critical_path_s()))
@@ -801,37 +785,17 @@ impl DynamicGraph {
     }
 }
 
-/// The TCIM delta kernel: `popcount(a AND b)` over matching valid slice
-/// pairs, returning the count and the pair accounting. Sparse rows skip
-/// pairs their byte masks prove disjoint before the AND.
-fn kernel(a: &SlicedRow, b: &SlicedRow) -> (u64, PairStats) {
-    let mut common = 0u64;
-    let stats = a
-        .for_each_matching(b, |_, anded| {
-            for &w in anded {
-                common += u64::from(w.count_ones());
-            }
-        })
-        .expect("dynamic rows share one universe and encoding");
-    (common, stats)
-}
-
-/// As [`kernel`], additionally reading the surviving bits back out of
-/// each non-zero AND result: the returned witnesses are the common
-/// neighbours themselves (ascending), which per-vertex maintenance
-/// attributes — the streaming twin of
-/// `tcim_arch::runtime::run_attributed`'s readout.
-fn kernel_attributed(a: &SlicedRow, b: &SlicedRow, slice_bits: u32) -> (u64, u64, Vec<u32>) {
+/// The TCIM delta kernel: `popcount(a AND b)` over matching valid
+/// slice pairs, reading the surviving bits back out of each non-zero
+/// result: returns the count, the pairs visited and the witnesses (the
+/// common neighbours themselves, ascending), which per-vertex
+/// maintenance attributes. Sparse rows skip pairs their byte masks
+/// prove disjoint before the AND.
+fn delta_kernel(a: &SlicedRow, b: &SlicedRow) -> (u64, u64, Vec<u32>) {
     let mut witnesses = Vec::new();
-    let mut pairs = 0u64;
-    a.for_each_matching(b, |k, anded| {
-        pairs += 1;
-        tcim_bitmatrix::popcount::visit_set_bits(anded.iter().copied(), |offset| {
-            witnesses.push(k * slice_bits + offset);
-        });
-    })
-    .expect("dynamic rows share one universe and encoding");
-    (witnesses.len() as u64, pairs, witnesses)
+    let work =
+        Walk::new(NoAccounting, Attribute(|_, w, _| witnesses.push(w))).arc(0, 0, [(a, b)]);
+    (work.count, work.pairs, witnesses)
 }
 
 #[cfg(test)]
