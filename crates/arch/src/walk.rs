@@ -16,7 +16,7 @@
 //!
 //! [`census_arc`] is the index-only twin for pricing and EXPLAIN: the
 //! same per-arc census without decoding payloads. Both apply the one
-//! dispatch rule, [`dispatches`].
+//! dispatch rule.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -89,7 +89,7 @@ impl fmt::Display for KernelStats {
 /// per-edge accounting); on sparse operands the controller consults the
 /// summary masks first, so an arc whose walk visited no pair is never
 /// dispatched.
-pub fn dispatches(encoding: RowEncoding, visited: u64) -> bool {
+fn dispatches(encoding: RowEncoding, visited: u64) -> bool {
     encoding == RowEncoding::Dense || visited > 0
 }
 
@@ -111,7 +111,7 @@ pub fn census_arc<'r>(
     for (left, right) in operands {
         encoding = left.encoding();
         let pairs = left
-            .for_each_matching_index(right, |_| {})
+            .matching_stats(right)
             .expect("kernel operands share slice size, length and encoding");
         visited += pairs.visited;
         kernel.blocks_skipped += pairs.skipped;

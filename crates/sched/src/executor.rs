@@ -1,12 +1,12 @@
 //! The per-array executor: Algorithm 1 restricted to one array's
 //! assigned rows, with the array's own column-slice buffer.
 //!
-//! Functionally this mirrors `tcim_arch::PimEngine::run`; the difference
-//! is scope — each array only sees its assigned rows and manages an
-//! independent (partitioned) data buffer, which is exactly what makes
-//! the scheduled counts bit-identical to the serial engine: the AND +
-//! BitCount dataflow per edge is unchanged, only *where* and *when* each
-//! edge executes moves.
+//! It runs the same kernel walk and PIM accounting as
+//! `tcim_arch::PimEngine::run`; the difference is scope — each array
+//! only sees its assigned rows and manages an independent (partitioned)
+//! data buffer, which is exactly what makes the scheduled counts
+//! bit-identical to the serial engine: the AND + BitCount dataflow per
+//! edge is unchanged, only *where* and *when* each edge executes moves.
 
 use tcim_arch::walk::{PairSink, PimAccounting, Walk};
 use tcim_arch::{AccessStats, ReplacementPolicy};
