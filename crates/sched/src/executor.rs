@@ -63,11 +63,12 @@ mod tests {
         let engine = PimEngine::new(&PimConfig::default()).unwrap();
         let jobs = decompose(&m, &engine.cost_model());
         let refs: Vec<&RowJob> = jobs.iter().collect();
-        let run = run_array(&m, &refs, 1024, ReplacementPolicy::Lru, 0, COUNT);
+        let (triangles, stats, _) =
+            run_array(&m, &refs, 1024, ReplacementPolicy::Lru, 0, COUNT);
         let serial = engine.run(&m);
-        assert_eq!(run.0, serial.triangles);
-        assert_eq!(run.1.and_ops, serial.stats.and_ops);
-        assert_eq!(run.1.row_slice_writes, serial.stats.row_slice_writes);
+        assert_eq!(triangles, serial.triangles);
+        assert_eq!(stats.and_ops, serial.stats.and_ops);
+        assert_eq!(stats.row_slice_writes, serial.stats.row_slice_writes);
     }
 
     #[test]
@@ -78,10 +79,10 @@ mod tests {
         let serial = engine.run(&m).triangles;
         let first: Vec<&RowJob> = jobs.iter().take(1).collect();
         let rest: Vec<&RowJob> = jobs.iter().skip(1).collect();
-        let a = run_array(&m, &first, 64, ReplacementPolicy::Lru, 0, COUNT);
-        let b = run_array(&m, &rest, 64, ReplacementPolicy::Lru, 1, COUNT);
-        assert_eq!(a.0 + b.0, serial);
-        assert_eq!(a.1.edges + b.1.edges, 5);
+        let (a, a_stats, _) = run_array(&m, &first, 64, ReplacementPolicy::Lru, 0, COUNT);
+        let (b, b_stats, _) = run_array(&m, &rest, 64, ReplacementPolicy::Lru, 1, COUNT);
+        assert_eq!(a + b, serial);
+        assert_eq!(a_stats.edges + b_stats.edges, 5);
     }
 
     #[test]
@@ -97,9 +98,11 @@ mod tests {
         let engine = PimEngine::new(&PimConfig::default()).unwrap();
         let jobs = decompose(&m, &engine.cost_model());
         let refs: Vec<&RowJob> = jobs.iter().collect();
-        let roomy = run_array(&m, &refs, 4096, ReplacementPolicy::Lru, 0, COUNT);
-        let tight = run_array(&m, &refs, 1, ReplacementPolicy::Lru, 0, COUNT);
-        assert_eq!(roomy.0, tight.0);
-        assert!(tight.1.col_exchanges > roomy.1.col_exchanges);
+        let (roomy, roomy_stats, _) =
+            run_array(&m, &refs, 4096, ReplacementPolicy::Lru, 0, COUNT);
+        let (tight, tight_stats, _) =
+            run_array(&m, &refs, 1, ReplacementPolicy::Lru, 0, COUNT);
+        assert_eq!(roomy, tight);
+        assert!(tight_stats.col_exchanges > roomy_stats.col_exchanges);
     }
 }
