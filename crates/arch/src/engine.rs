@@ -1,24 +1,23 @@
-//! The one-stop PIM engine facade: characterize-time state
-//! ([`PimCharacterization`]) bundled with the run-time executor
-//! ([`runtime`](crate::runtime)) behind the original single-object API.
+//! The PIM engine: characterize-time state ([`PimCharacterization`])
+//! bundled with the run-time executor ([`runtime`](crate::runtime)),
+//! which is reachable only through this type.
 
-use tcim_bitmatrix::SlicedMatrix;
+use tcim_bitmatrix::{PopcountMethod, SlicedMatrix};
 
 use crate::characterization::PimCharacterization;
 use crate::config::PimConfig;
 use crate::costs::SliceCostModel;
 use crate::error::Result;
 use crate::runtime::{self, PimRunResult};
-use crate::walk::TriangleSink;
+use crate::walk::{Attribute, CountOnly, TriangleSink};
 
 /// The processing-in-MRAM engine: a characterized array plus the
 /// controller logic of Algorithm 1.
 ///
-/// Since the characterize/run split this is a thin facade:
-/// [`PimCharacterization`] holds everything configuration-dependent and
-/// the [`runtime`](crate::runtime) functions execute prepared matrices
-/// against it. The facade remains the convenient entry point for
-/// callers that want both halves in one object.
+/// [`PimCharacterization`] holds everything configuration-dependent;
+/// [`PimEngine::run`] and [`PimEngine::run_attributed`] are the only
+/// doors to the run-time executor that replays prepared matrices
+/// against it.
 #[derive(Debug, Clone)]
 pub struct PimEngine {
     characterization: PimCharacterization,
@@ -73,21 +72,31 @@ impl PimEngine {
         self.characterization.capacity_slices()
     }
 
-    /// Executes Algorithm 1 over an oriented sliced matrix; see
-    /// [`runtime::run`].
+    /// Executes Algorithm 1 over an oriented sliced matrix.
+    ///
+    /// The returned triangle count is computed by the simulated dataflow
+    /// itself (LUT bit counter over sliced ANDs), so functional
+    /// correctness of the architecture is checked on every run.
     ///
     /// # Panics
     ///
     /// Panics if `matrix` was built with a different slice size than the
     /// engine configuration — a mapping bug at the call site.
     pub fn run(&self, matrix: &SlicedMatrix) -> PimRunResult {
-        runtime::run(&self.characterization, matrix)
+        runtime::simulate(&self.characterization, matrix, CountOnly(PopcountMethod::Lut8))
     }
 
-    /// Executes Algorithm 1 with triangle attribution, reporting every
-    /// surviving triangle to `sink` (ascending matrix ids — the
-    /// [`TriangleSink`] contract); see
-    /// [`runtime::run_attributed`].
+    /// Executes Algorithm 1 with triangle attribution: besides counting,
+    /// every non-zero AND result is read back out of the array and its
+    /// surviving bits are reported to `sink` as triangles (ascending
+    /// matrix ids — the [`TriangleSink`] contract).
+    ///
+    /// Hardware-wise this costs one extra operation class relative to
+    /// [`PimEngine::run`]: one read-class array access per *non-zero*
+    /// slice pair
+    /// ([`AccessStats::result_readouts`](crate::AccessStats::result_readouts)),
+    /// rolled into the latency/energy model. Zero results are filtered
+    /// by the bit counter and never read out.
     ///
     /// # Panics
     ///
@@ -98,7 +107,8 @@ impl PimEngine {
         matrix: &SlicedMatrix,
         sink: &mut S,
     ) -> PimRunResult {
-        runtime::run_attributed(&self.characterization, matrix, sink)
+        let sink = Attribute(|a, b, c| sink.triangle(a, b, c));
+        runtime::simulate(&self.characterization, matrix, sink)
     }
 }
 
@@ -326,18 +336,5 @@ mod tests {
             ColHit { col: 3, slice: 0 },
             AndBitcount { row: 2, col: 3, slice: 0, count: 0 },
         ]
-    }
-
-    #[test]
-    fn runtime_functions_match_the_facade() {
-        use crate::runtime;
-        let chr = PimCharacterization::characterize(&PimConfig::default()).unwrap();
-        let m = fig2_matrix();
-        let direct = runtime::run(&chr, &m);
-        let facade = PimEngine::from_characterization(chr.clone()).run(&m);
-        assert_eq!(direct.triangles, facade.triangles);
-        assert_eq!(direct.stats, facade.stats);
-        let local = runtime::run_attributed(&chr, &m, &mut TriangleTally::new(m.dim(), false));
-        assert_eq!(local.triangles, direct.triangles);
     }
 }

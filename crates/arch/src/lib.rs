@@ -17,9 +17,10 @@
 //!   replacement policy, controller overhead).
 //! * [`PimCharacterization`] — the characterize-time half: device, array
 //!   and bit-counter models resolved once per configuration.
-//! * [`runtime`] — the run-time half: Algorithm 1 executed over a
-//!   prepared sliced matrix against a characterization.
-//! * [`PimEngine`] — the one-object facade over both halves.
+//! * [`runtime`] — the run-time half's results: [`PimRunResult`] with
+//!   its latency and energy breakdowns.
+//! * [`PimEngine`] — both halves in one object; its `run` and
+//!   `run_attributed` execute Algorithm 1 over a prepared sliced matrix.
 //! * [`walk`] — the one AND + BitCount walk every kernel path runs,
 //!   generic over what it accounts and how it consumes AND results.
 //! * [`SliceCostModel`] — per-operation cost hooks for external

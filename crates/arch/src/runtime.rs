@@ -2,17 +2,19 @@
 //! iterate edges, load valid slice pairs, AND + BitCount, manage the
 //! column cache, account latency and energy.
 //!
-//! These functions take a [`PimCharacterization`] (built once per
-//! configuration) and a matrix that is already oriented and sliced — the
-//! run-time half of the characterize/run split. They never re-slice or
-//! re-characterize; callers that want the one-shot convenience use
-//! [`PimEngine`](crate::PimEngine), which wraps both halves.
+//! The public surface is the result types ([`PimRunResult`] and its
+//! latency/energy breakdowns). The executors themselves are private:
+//! they take a [`PimCharacterization`] (built once per configuration)
+//! and a matrix that is already oriented and sliced — the run-time half
+//! of the characterize/run split — and are reached only through
+//! [`PimEngine::run`](crate::PimEngine::run) and
+//! [`PimEngine::run_attributed`](crate::PimEngine::run_attributed).
 
-use tcim_bitmatrix::{PopcountMethod, SlicedMatrix};
+use tcim_bitmatrix::SlicedMatrix;
 
 use crate::characterization::PimCharacterization;
 use crate::stats::AccessStats;
-use crate::walk::{Attribute, CountOnly, PairSink, PimAccounting, TriangleSink, Walk};
+use crate::walk::{PairSink, PimAccounting, Walk};
 use tcim_telemetry::EventTrace;
 
 /// Where the simulated time went.
@@ -95,46 +97,9 @@ impl PimRunResult {
     }
 }
 
-/// Executes Algorithm 1 over an oriented sliced matrix.
-///
-/// The returned triangle count is computed by the simulated dataflow
-/// itself (LUT bit counter over sliced ANDs), so functional correctness
-/// of the architecture is checked on every run.
-///
-/// # Panics
-///
-/// Panics if `matrix` was built with a different slice size than the
-/// characterization's configuration — a mapping bug at the call site.
-pub fn run(chr: &PimCharacterization, matrix: &SlicedMatrix) -> PimRunResult {
-    simulate(chr, matrix, CountOnly(PopcountMethod::Lut8))
-}
-
-/// Executes Algorithm 1 with triangle attribution: besides counting,
-/// every non-zero AND result is read back out of the array and its
-/// surviving bits are reported to `sink` as triangles (see
-/// [`TriangleSink`]).
-///
-/// Hardware-wise this costs one extra operation class relative to
-/// [`run`]: one read-class array access per *non-zero* slice pair
-/// ([`AccessStats::result_readouts`](crate::AccessStats::result_readouts)),
-/// rolled into the latency/energy model. Zero results are filtered by
-/// the bit counter and never read out.
-///
-/// # Panics
-///
-/// Panics if `matrix` was built with a different slice size than the
-/// characterization's configuration.
-pub fn run_attributed<S: TriangleSink + ?Sized>(
-    chr: &PimCharacterization,
-    matrix: &SlicedMatrix,
-    sink: &mut S,
-) -> PimRunResult {
-    simulate(chr, matrix, Attribute(|a, b, c| sink.triangle(a, b, c)))
-}
-
 /// The kernel walk over `matrix` on one simulated array, rolled up into
 /// latency and energy.
-fn simulate(
+pub(crate) fn simulate(
     chr: &PimCharacterization,
     matrix: &SlicedMatrix,
     sink: impl PairSink,

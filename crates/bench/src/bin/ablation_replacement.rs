@@ -5,7 +5,7 @@
 //! prints hit/exchange rates plus total WRITEs.
 
 use tcim_arch::{PimConfig, ReplacementPolicy};
-use tcim_core::{TcimAccelerator, TcimConfig};
+use tcim_core::{Backend, TcimConfig, TcimPipeline};
 use tcim_graph::datasets::Dataset;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,8 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     },
                     ..TcimConfig::default()
                 };
-                let report = TcimAccelerator::new(&config)?.count_triangles(&g);
-                let s = report.sim.stats;
+                let pipeline = TcimPipeline::new(&config)?;
+                let report = pipeline.execute(&pipeline.prepare(&g), &Backend::SerialPim)?;
+                let s =
+                    report.stats.expect("the serial PIM backend reports access statistics");
                 println!(
                     "{:<10} {:>10} {:>8.1} {:>8.1} {:>8.1} {:>12}",
                     format!("{policy:?}"),

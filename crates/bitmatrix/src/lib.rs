@@ -65,6 +65,6 @@ pub use row::{EncodingPolicy, PairStats, RowEncoding, SlicedRow};
 pub use slice::SliceSize;
 pub use sliced::{MatchingSlices, SlicedBitVector, ValidSlice};
 pub use sliced_matrix::{
-    matrices_built, BuildScope, BuildScopeGuard, SliceStats, SlicedMatrix, SlicedMatrixBuilder,
+    BuildScope, BuildScopeGuard, SliceStats, SlicedMatrix, SlicedMatrixBuilder,
 };
 pub use sparse::SparseSlicedRow;

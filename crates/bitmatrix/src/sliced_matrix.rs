@@ -12,34 +12,18 @@ use crate::row::{EncodingPolicy, RowEncoding, SlicedRow};
 use crate::slice::SliceSize;
 use crate::sliced::SlicedBitVector;
 
-/// Process-wide count of [`SlicedMatrix`] constructions — a work counter
-/// for the slicing stage.
-static MATRICES_BUILT: AtomicU64 = AtomicU64::new(0);
-
-/// How many [`SlicedMatrix`] values this process has built so far (every
-/// [`SlicedMatrix::from_adjacency`] call, including via
-/// [`SlicedMatrixBuilder::build`]).
-///
-/// Slicing is the expensive preparation step of the TCIM pipeline;
-/// callers that cache prepared matrices can read this counter before and
-/// after a workload to *prove* the cache prevented re-slicing rather
-/// than assume it. Monotone, never reset. Being process-wide, it also
-/// counts builds made concurrently by unrelated threads; a caller that
-/// shares the process with other work counts its own builds with a
-/// [`BuildScope`] instead.
-pub fn matrices_built() -> u64 {
-    MATRICES_BUILT.load(Ordering::Relaxed)
-}
-
 thread_local! {
     /// The build scopes entered on this thread, outermost first.
     static ACTIVE_SCOPES: RefCell<Vec<BuildScope>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A scoped [`SlicedMatrix`] build counter: counts exactly the builds
-/// made on threads where the scope is entered, so one owner can prove
-/// "nothing re-sliced" while other threads of the process build
-/// matrices concurrently.
+/// (every [`SlicedMatrix::from_adjacency`] call, including via
+/// [`SlicedMatrixBuilder::build`]) made on threads where the scope is
+/// entered. Slicing is the expensive preparation step of the TCIM
+/// pipeline, so a caller that caches prepared matrices reads the scope
+/// after a workload to *prove* the cache prevented re-slicing — while
+/// other threads of the process build matrices concurrently.
 ///
 /// Scopes are entered per thread ([`BuildScope::enter`]). Fan-out
 /// helpers that run an owner's work on worker threads carry the caller's
@@ -291,7 +275,6 @@ impl SlicedMatrix {
         };
         let (rows, cols) = (wrap(dense_rows), wrap(dense_cols));
 
-        MATRICES_BUILT.fetch_add(1, Ordering::Relaxed);
         BuildScope::record_build();
         Ok(SlicedMatrix { n, slice_size, encoding, rows, cols, edges })
     }
@@ -641,10 +624,11 @@ mod tests {
     #[test]
     fn entry_patches_do_not_bump_the_build_counter() {
         let mut m = fig2();
-        let before = matrices_built();
+        let scope = BuildScope::new();
+        let _counting = scope.enter();
         m.set_entry(0, 3).unwrap();
         m.clear_entry(0, 1).unwrap();
-        assert_eq!(matrices_built(), before);
+        assert_eq!(scope.builds(), 0);
     }
 
     #[test]
@@ -666,12 +650,13 @@ mod tests {
 
     #[test]
     fn build_counter_is_monotone() {
-        // Other tests in this binary may build matrices concurrently, so
-        // only the monotone lower bound is asserted.
-        let before = matrices_built();
+        // Builder and adjacency builds both count, one each.
+        let scope = BuildScope::new();
+        let _counting = scope.enter();
         let _ = fig2();
+        assert_eq!(scope.builds(), 1);
         let _ = SlicedMatrix::from_adjacency(&[], SliceSize::S64).unwrap();
-        assert!(matrices_built() >= before + 2);
+        assert_eq!(scope.builds(), 2);
     }
 
     #[test]

@@ -6,13 +6,24 @@
 //! column hit rate on collaboration graphs") are assertable in the test
 //! suite rather than living only in harness stdout.
 
+use std::sync::Arc;
+
 use tcim_arch::sweep::{capacity_sweep, policy_sweep, SweepPoint};
 use tcim_arch::PimConfig;
-use tcim_bitmatrix::{SliceSize, SlicedMatrix};
+use tcim_bitmatrix::{EncodingPolicy, SliceSize, SliceStats};
 use tcim_graph::{CsrGraph, Orientation};
 
-use crate::accelerator::{TcimAccelerator, TcimConfig};
+use crate::backend::{Backend, CountReport};
 use crate::error::Result;
+use crate::pipeline::{PreparedGraph, TcimConfig, TcimPipeline};
+
+/// Prepares `g` under `config` and counts it on the serial PIM engine,
+/// returning the artifact's slice statistics and the run's report.
+fn serial_run(config: &TcimConfig, g: &CsrGraph) -> Result<(SliceStats, CountReport)> {
+    let pipeline = TcimPipeline::new(config)?;
+    let prepared = pipeline.prepare(g);
+    Ok((prepared.slice_stats(), pipeline.execute(&prepared, &Backend::SerialPim)?))
+}
 
 /// One point of the orientation ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +45,7 @@ pub struct OrientationPoint {
 ///
 /// # Errors
 ///
-/// Propagates accelerator characterization failures.
+/// Propagates pipeline characterization failures.
 ///
 /// # Panics
 ///
@@ -44,17 +55,18 @@ pub fn orientation_ablation(g: &CsrGraph) -> Result<Vec<OrientationPoint>> {
     let mut points = Vec::with_capacity(3);
     let mut reference: Option<u64> = None;
     for orientation in [Orientation::Natural, Orientation::Degree, Orientation::Degeneracy] {
-        let acc = TcimAccelerator::new(&TcimConfig { orientation, ..TcimConfig::default() })?;
-        let report = acc.count_triangles(g);
+        let config = TcimConfig { orientation, ..TcimConfig::default() };
+        let (slices, report) = serial_run(&config, g)?;
         match reference {
             None => reference = Some(report.triangles),
             Some(r) => assert_eq!(r, report.triangles, "orientation changed the count"),
         }
+        let stats = report.stats.expect("the serial PIM backend reports access statistics");
         points.push(OrientationPoint {
             orientation,
-            and_ops: report.sim.stats.and_ops,
-            hit_rate: report.sim.stats.hit_rate(),
-            valid_fraction: report.slice_stats.valid_fraction(),
+            and_ops: stats.and_ops,
+            hit_rate: stats.hit_rate(),
+            valid_fraction: slices.valid_fraction(),
             triangles: report.triangles,
         });
     }
@@ -80,7 +92,7 @@ pub struct SliceSizePoint {
 ///
 /// # Errors
 ///
-/// Propagates accelerator characterization failures.
+/// Propagates pipeline characterization failures.
 ///
 /// # Panics
 ///
@@ -93,16 +105,17 @@ pub fn slice_size_ablation(g: &CsrGraph) -> Result<Vec<SliceSizePoint>> {
             pim: PimConfig { slice_size, ..PimConfig::default() },
             ..TcimConfig::default()
         };
-        let report = TcimAccelerator::new(&config)?.count_triangles(g);
+        let (slices, report) = serial_run(&config, g)?;
         match reference {
             None => reference = Some(report.triangles),
             Some(r) => assert_eq!(r, report.triangles, "slice size changed the count"),
         }
+        let stats = report.stats.expect("the serial PIM backend reports access statistics");
         points.push(SliceSizePoint {
             slice_size,
-            compressed_bytes: report.slice_stats.compressed_bytes,
-            and_ops: report.sim.stats.and_ops,
-            time_s: report.sim.total_time_s(),
+            compressed_bytes: slices.compressed_bytes,
+            and_ops: stats.and_ops,
+            time_s: report.modelled_time_s.expect("the serial PIM backend models time"),
             triangles: report.triangles,
         });
     }
@@ -116,10 +129,8 @@ pub fn slice_size_ablation(g: &CsrGraph) -> Result<Vec<SliceSizePoint>> {
 ///
 /// Propagates engine construction failures.
 pub fn replacement_ablation(g: &CsrGraph, capacity_slices: usize) -> Result<Vec<SweepPoint>> {
-    let oriented = Orientation::Natural.orient(g);
-    let matrix =
-        SlicedMatrix::from_adjacency(oriented.rows(), PimConfig::default().slice_size)?;
-    Ok(policy_sweep(&PimConfig::default(), &matrix, capacity_slices)?)
+    let prepared = prepare_dense(g)?;
+    Ok(policy_sweep(&PimConfig::default(), prepared.matrix(), capacity_slices)?)
 }
 
 /// Runs the buffer-capacity ablation over one graph.
@@ -128,10 +139,15 @@ pub fn replacement_ablation(g: &CsrGraph, capacity_slices: usize) -> Result<Vec<
 ///
 /// Propagates engine construction failures.
 pub fn capacity_ablation(g: &CsrGraph, capacities: &[usize]) -> Result<Vec<SweepPoint>> {
-    let oriented = Orientation::Natural.orient(g);
-    let matrix =
-        SlicedMatrix::from_adjacency(oriented.rows(), PimConfig::default().slice_size)?;
-    Ok(capacity_sweep(&PimConfig::default(), &matrix, capacities)?)
+    let prepared = prepare_dense(g)?;
+    Ok(capacity_sweep(&PimConfig::default(), prepared.matrix(), capacities)?)
+}
+
+/// The buffer sweeps run over the dense paper layout (natural order,
+/// default |S|), whatever the encoding policy would pick.
+fn prepare_dense(g: &CsrGraph) -> Result<Arc<PreparedGraph>> {
+    let config = TcimConfig { encoding: EncodingPolicy::ForceDense, ..TcimConfig::default() };
+    Ok(TcimPipeline::new(&config)?.prepare(g))
 }
 
 #[cfg(test)]

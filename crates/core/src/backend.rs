@@ -767,9 +767,8 @@ impl ExecutionBackend for CpuForwardBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accelerator::TcimConfig;
     use crate::baseline;
-    use crate::pipeline::TcimPipeline;
+    use crate::pipeline::{TcimConfig, TcimPipeline};
     use tcim_bitmatrix::SliceSize;
     use tcim_graph::generators::{classic, gnm};
     use tcim_graph::Orientation;

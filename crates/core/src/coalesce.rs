@@ -221,7 +221,7 @@ impl TcimPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accelerator::TcimConfig;
+    use crate::pipeline::TcimConfig;
     use tcim_graph::generators::{barabasi_albert, classic};
 
     fn pipeline() -> TcimPipeline {

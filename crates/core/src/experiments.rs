@@ -18,11 +18,10 @@ use tcim_mtj::llg::LlgSolver;
 use tcim_mtj::sense::SenseAmp;
 use tcim_mtj::{MtjCell, MtjParams};
 
-use crate::accelerator::TcimConfig;
 use crate::backend::Backend;
 use crate::baseline;
 use crate::error::Result;
-use crate::pipeline::TcimPipeline;
+use crate::pipeline::{TcimConfig, TcimPipeline};
 use crate::reported::{self, PaperRow};
 
 /// Scale factor and seed shared by every dataset-driven experiment.
@@ -526,7 +525,7 @@ pub fn fig5(scale: ExperimentScale) -> Result<Fig5Report> {
     let mut rows = Vec::with_capacity(TABLE_II.len());
     for d in &TABLE_II {
         let g = scale.synthesize(d)?;
-        let report = pipeline.count(&g, &Backend::SerialPim)?;
+        let report = pipeline.execute(&pipeline.prepare(&g), &Backend::SerialPim)?;
         let stats = report.stats.expect("the PIM backend always reports stats");
         rows.push(Fig5Row {
             dataset: d,
@@ -619,7 +618,7 @@ pub fn fig6(scale: ExperimentScale) -> Result<Fig6Report> {
             continue;
         };
         let g = scale.synthesize(d)?;
-        let report = pipeline.count(&g, &Backend::SerialPim)?;
+        let report = pipeline.execute(&pipeline.prepare(&g), &Backend::SerialPim)?;
         let tcim_j = report.modelled_energy_j.expect("the PIM backend always models energy");
         // FPGA energy scales with runtime, which is roughly linear in the
         // edge count; scale the published full-size runtime accordingly.

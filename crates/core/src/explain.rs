@@ -568,8 +568,8 @@ impl TcimPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accelerator::TcimConfig;
     use crate::backend::BackendDetail;
+    use crate::pipeline::TcimConfig;
     use crate::sharded::ShardPolicy;
     use tcim_graph::generators::gnm;
     use tcim_sched::SchedPolicy;

@@ -4,7 +4,7 @@
 //! DAC 2020). It ties the substrates together — graphs (`tcim-graph`),
 //! sliced bit matrices (`tcim-bitmatrix`), MTJ devices (`tcim-mtj`), the
 //! NVSim-style array model (`tcim-nvsim`) and the architecture simulator
-//! (`tcim-arch`) — behind one entry point, [`TcimAccelerator`], and
+//! (`tcim-arch`) — behind one entry point, [`TcimPipeline`], and
 //! provides everything the paper's evaluation compares against:
 //!
 //! * [`baseline`] — CPU triangle-counting algorithms: a deliberately
@@ -19,8 +19,8 @@
 //! * [`metrics`] — graph metrics built on triangle counts (transitivity,
 //!   clustering coefficient).
 //! * [`verify`] — a one-call cross-check of all five counting paths.
-//! * scheduling — [`TcimAccelerator::count_triangles_scheduled`] runs the
-//!   dataflow on the `tcim-sched` multi-array runtime ([`SchedPolicy`],
+//! * scheduling — [`Backend::ScheduledPim`] runs the dataflow on the
+//!   `tcim-sched` multi-array runtime ([`SchedPolicy`],
 //!   [`ScheduledReport`] are re-exported here).
 //! * [`ablations`] — structured drivers for the DESIGN.md §5 ablations,
 //!   with their findings pinned by tests.
@@ -36,9 +36,8 @@
 //! count, per-vertex counts, local/global clustering, edge support,
 //! top-k) is answered by any backend from one prepared artifact,
 //! returning a [`QueryReport`] with normalized [`KernelStats`]. The
-//! count-only entry points ([`TcimPipeline::count`],
-//! [`TcimAccelerator`]) are thin shims over
-//! [`Query::TotalTriangles`].
+//! count-only [`TcimPipeline::execute`] is the [`Query::TotalTriangles`]
+//! case, returning the backend's full [`CountReport`].
 //!
 //! For *dynamic* graphs (streams of edge insertions/deletions), the
 //! `tcim-stream` crate layers incremental delta counting on top of this
@@ -92,7 +91,6 @@
 #![deny(missing_docs)]
 
 pub mod ablations;
-mod accelerator;
 pub mod backend;
 pub mod baseline;
 pub mod coalesce;
@@ -110,7 +108,6 @@ pub mod software;
 pub mod telemetry;
 pub mod verify;
 
-pub use accelerator::{LocalTcimReport, TcimAccelerator, TcimConfig, TcimReport};
 pub use backend::{AttributedRun, Backend, BackendDetail, CountReport, ExecutionBackend};
 pub use coalesce::CoalescedOutcome;
 pub use error::{CoreError, Result};
@@ -121,7 +118,9 @@ pub use explain::{
 pub use motifs::{
     four_cliques_from_adjacency, ktruss_value_from_adjacency, MotifFlavor, MotifPricing,
 };
-pub use pipeline::{PreparedCache, PreparedGraph, PreparedKey, PreparedPricing, TcimPipeline};
+pub use pipeline::{
+    PreparedCache, PreparedGraph, PreparedKey, PreparedPricing, TcimConfig, TcimPipeline,
+};
 pub use plan_cache::{PlanCacheStats, PLAN_CACHE_CAPACITY};
 pub use query::{
     EdgeSupport, EdgeTruss, KernelStats, Query, QueryReport, QueryValue, VertexClustering,
@@ -132,8 +131,8 @@ pub use sharded::{
     ShardedPreparedGraph,
 };
 pub use telemetry::{ExecutionSample, PipelineMetrics};
-// Scheduling types surface in the accelerator's public API
-// (`TcimAccelerator::count_triangles_scheduled`), so re-export them.
+// Scheduling types surface in `Backend::ScheduledPim` and its
+// `BackendDetail::ScheduledPim` report, so re-export them.
 pub use tcim_sched::{PlacementPolicy, SchedPolicy, ScheduledReport};
 // Shard-spec types surface in `Backend::Sharded`'s `ShardPolicy`.
 pub use tcim_shard::{ShardMode, ShardSpec};

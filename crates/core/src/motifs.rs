@@ -146,8 +146,8 @@ impl<'p> PricedRounds<'p> {
 /// The live motif state: full-neighbourhood adjacency (input ids,
 /// sorted) plus, for the sliced flavor, one [`SlicedRow`] per vertex.
 /// Rows are built with [`SlicedRow::from_sorted_indices`] and patched
-/// in place with `clear_bit` — never via a matrix build, so
-/// `matrices_built()` provably stays flat across peeling.
+/// in place with `clear_bit` — never via a matrix build, so a
+/// `tcim_bitmatrix::BuildScope` provably stays flat across peeling.
 struct MotifState {
     adjacency: Vec<Vec<u32>>,
     rows: Option<Vec<SlicedRow>>,

@@ -15,11 +15,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tcim_arch::walk::census_arc;
-use tcim_arch::{KernelStats, PimEngine};
+use tcim_arch::{KernelStats, PimConfig, PimEngine};
 use tcim_bitmatrix::{EncodingPolicy, RowEncoding, SliceSize, SliceStats, SlicedMatrix};
 use tcim_graph::{CsrGraph, Orientation, OrientedGraph};
 
-use crate::accelerator::TcimConfig;
 use crate::backend::{Backend, CountReport, ExecutionBackend, ScheduledPimBackend};
 use crate::error::Result;
 use crate::plan_cache::{PlanCache, PlanCacheStats};
@@ -28,6 +27,20 @@ use crate::sharded::{ShardedBackend, ShardedCache, ShardedPreparedGraph};
 use crate::telemetry::{ExecutionSample, PipelineMetrics};
 use tcim_sched::{PlanKey, SchedPolicy, SchedulePlan};
 use tcim_shard::ShardSpec;
+
+/// Configuration of a [`TcimPipeline`]: how to orient the graph, how
+/// to encode its rows, and the full PIM simulator configuration.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct TcimConfig {
+    /// Edge orientation applied before slicing (paper: natural order).
+    pub orientation: Orientation,
+    /// Row-encoding selection policy: measure the sliced matrix's
+    /// valid-slice density and pick dense or hierarchical sparse rows
+    /// (default: automatic with a 25% density threshold).
+    pub encoding: EncodingPolicy,
+    /// Architecture-simulator configuration (paper defaults).
+    pub pim: PimConfig,
+}
 
 /// Cache key of one prepared artifact: the graph's structural
 /// fingerprint (paired with its exact sizes to make collisions
@@ -599,23 +612,9 @@ impl TcimPipeline {
         Ok(report)
     }
 
-    /// Executes every backend in `specs` over one prepared graph,
-    /// returning reports in input order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first backend error.
-    pub fn execute_all(
-        &self,
-        prepared: &PreparedGraph,
-        specs: &[Backend],
-    ) -> Result<Vec<CountReport>> {
-        specs.iter().map(|spec| self.execute(prepared, spec)).collect()
-    }
-
     /// Answers a typed [`Query`] over a prepared graph on the selected
-    /// backend — the general entry point [`TcimPipeline::execute`] and
-    /// [`TcimPipeline::count`] are the `TotalTriangles` shims of.
+    /// backend — the general entry point [`TcimPipeline::execute`] is
+    /// the `TotalTriangles` shim of.
     ///
     /// # Errors
     ///
@@ -639,47 +638,6 @@ impl TcimPipeline {
             query: Some(query.label()),
         });
         Ok(report)
-    }
-
-    /// Answers every query in `queries` over one prepared graph on one
-    /// backend, in input order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first query error.
-    pub fn query_all(
-        &self,
-        prepared: &PreparedGraph,
-        spec: &Backend,
-        queries: &[Query],
-    ) -> Result<Vec<QueryReport>> {
-        let backend = self.backend(spec);
-        queries
-            .iter()
-            .map(|q| {
-                let report = backend.query(prepared, q)?;
-                self.metrics.record_execution(&ExecutionSample {
-                    backend: &report.backend,
-                    encoding: prepared.encoding(),
-                    kernel: &report.kernel,
-                    execute_time: report.execute_time,
-                    modelled_time_s: report.modelled_time_s,
-                    predicted_modelled_s: self.predicted_modelled_s(prepared, spec),
-                    query: Some(q.label()),
-                });
-                Ok(report)
-            })
-            .collect()
-    }
-
-    /// One-shot convenience: prepare (cached) and execute — the
-    /// [`Query::TotalTriangles`] shim kept for existing drivers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend errors.
-    pub fn count(&self, g: &CsrGraph, spec: &Backend) -> Result<CountReport> {
-        self.execute(&self.prepare(g), spec)
     }
 }
 

@@ -552,10 +552,10 @@ pub(crate) fn shape_count(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accelerator::TcimConfig;
     use crate::backend::Backend;
-    use crate::pipeline::TcimPipeline;
-    use tcim_graph::generators::classic;
+    use crate::pipeline::{TcimConfig, TcimPipeline};
+    use tcim_graph::generators::{classic, gnm};
+    use tcim_graph::Orientation;
 
     fn prepared_fig2() -> (TcimPipeline, std::sync::Arc<PreparedGraph>) {
         let p = TcimPipeline::new(&TcimConfig::default()).unwrap();
@@ -581,6 +581,27 @@ mod tests {
         assert!(!Query::GlobalClustering.needs_attribution());
         assert!(Query::PerVertexTriangles.needs_attribution());
         assert!(Query::EdgeSupport.needs_attribution());
+    }
+
+    #[test]
+    fn local_counts_match_baseline_under_every_orientation() {
+        let g = gnm(250, 1800, 4).unwrap();
+        let expected = crate::baseline::local_triangles(&g);
+        for orientation in [Orientation::Natural, Orientation::Degree, Orientation::Degeneracy]
+        {
+            let p = TcimPipeline::new(&TcimConfig { orientation, ..TcimConfig::default() })
+                .unwrap();
+            let report = p
+                .query(&p.prepare(&g), &Backend::SerialPim, &Query::PerVertexTriangles)
+                .unwrap();
+            let per_vertex = report.value.per_vertex().unwrap();
+            assert_eq!(per_vertex, expected, "{orientation:?}");
+            assert_eq!(
+                per_vertex.iter().sum::<u64>(),
+                3 * report.triangles,
+                "{orientation:?}"
+            );
+        }
     }
 
     #[test]

@@ -154,7 +154,6 @@ impl ShardPiece {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedPreparedGraph {
-    base: PreparedKey,
     spec: ShardSpec,
     plan: ShardPlan,
     boundary: BoundarySlices,
@@ -245,7 +244,6 @@ impl ShardedPreparedGraph {
             .collect();
 
         Ok(ShardedPreparedGraph {
-            base: *prepared.key(),
             spec: *spec,
             plan,
             boundary,
@@ -254,11 +252,6 @@ impl ShardedPreparedGraph {
             prepare_time: start.elapsed(),
             compositions: PlanCache::new(),
         })
-    }
-
-    /// The base (unsharded) artifact's cache key.
-    pub fn base_key(&self) -> &PreparedKey {
-        &self.base
     }
 
     /// The specification this artifact was partitioned under. The
@@ -826,8 +819,7 @@ impl ExecutionBackend for ShardedBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accelerator::TcimConfig;
-    use crate::pipeline::TcimPipeline;
+    use crate::pipeline::{TcimConfig, TcimPipeline};
     use crate::query::Query;
     use tcim_graph::generators::gnm;
 

@@ -32,7 +32,7 @@
 //!   keyed by everything it reads (arrays, policy, buffer, replacement,
 //!   cost model), shareable through an `Arc` so repeated runs of one
 //!   matrix bind it ([`ScheduledRun::bind`]) instead of re-planning.
-//! * **Batch execution** ([`ScheduledRun`], [`BatchRunner`]) —
+//! * **Batch execution** ([`ScheduledRun`]) —
 //!   independent per-array work fans out over scoped host threads and
 //!   partial triangle counts merge deterministically in array order.
 //!
@@ -84,4 +84,4 @@ pub use placement::{ArrayAssignment, Placement};
 pub use plan::{PlanKey, SchedulePlan};
 pub use policy::{PlacementPolicy, SchedPolicy};
 pub use report::{ArrayReport, ScheduledReport};
-pub use runner::{parallel_map_indexed, AttributedScheduledRun, BatchRunner, ScheduledRun};
+pub use runner::{parallel_map_indexed, AttributedScheduledRun, ScheduledRun};

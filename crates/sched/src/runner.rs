@@ -1,13 +1,12 @@
-//! The batch job API: planned runs ([`ScheduledRun`]) and multi-graph
-//! fan-out ([`BatchRunner`]), executed over host worker threads with a
-//! deterministic merge.
+//! The batch job API: planned runs ([`ScheduledRun`]), executed over
+//! host worker threads with a deterministic merge.
 //!
 //! Host-side parallelism uses `std::thread::scope` worker fan-out (the
 //! build environment has no registry access, so a rayon dependency is
 //! deliberately avoided; scoped threads give the same fork-join shape).
-//! Determinism: per-array results are merged in array order and batch
-//! results in submission order, so the reported counts and statistics
-//! are independent of thread interleaving.
+//! Determinism: per-array results are merged in array order, so the
+//! reported counts and statistics are independent of thread
+//! interleaving.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -230,58 +229,6 @@ impl<'a> ScheduledRun<'a> {
     }
 }
 
-/// Plans and runs batches of independent counting jobs under one policy.
-///
-/// Jobs fan out over host threads (one worker per job, bounded by the
-/// policy's `host_threads`); inside a batch each job simulates its
-/// arrays serially so the host is never oversubscribed. Reports come
-/// back in submission order.
-#[derive(Debug)]
-pub struct BatchRunner<'e> {
-    engine: &'e PimEngine,
-    policy: SchedPolicy,
-}
-
-impl<'e> BatchRunner<'e> {
-    /// A runner scheduling every job with `policy` on `engine`.
-    pub fn new(engine: &'e PimEngine, policy: SchedPolicy) -> Self {
-        BatchRunner { engine, policy }
-    }
-
-    /// The policy applied to every job.
-    pub fn policy(&self) -> &SchedPolicy {
-        &self.policy
-    }
-
-    /// Plans and executes one job.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning errors; see [`ScheduledRun::plan`].
-    pub fn run(&self, matrix: &SlicedMatrix) -> Result<ScheduledReport> {
-        ScheduledRun::plan(self.engine, matrix, &self.policy).map(|run| run.execute())
-    }
-
-    /// Plans and executes every job, fanning independent jobs over host
-    /// threads. Reports are returned in submission order; the first
-    /// planning error aborts the batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first planning error across the batch.
-    pub fn run_all(&self, matrices: &[SlicedMatrix]) -> Result<Vec<ScheduledReport>> {
-        // Plan serially (cheap, and errors surface before any spawn)…
-        let inner_policy = SchedPolicy { host_threads: Some(1), ..self.policy.clone() };
-        let runs: Vec<ScheduledRun<'_>> = matrices
-            .iter()
-            .map(|m| ScheduledRun::plan(self.engine, m, &inner_policy))
-            .collect::<Result<_>>()?;
-        // …execute in parallel.
-        let threads = self.policy.resolved_host_threads();
-        Ok(parallel_map_indexed(runs.len(), threads, |i| runs[i].execute()))
-    }
-}
-
 /// Applies `f` to `0..n`, fanning over at most `threads` scoped worker
 /// threads; results come back indexed, so output order is deterministic
 /// regardless of scheduling.
@@ -455,28 +402,6 @@ mod tests {
         let m = b.build();
         let err = ScheduledRun::plan(&e, &m, &SchedPolicy::default()).unwrap_err();
         assert!(matches!(err, SchedError::SliceSizeMismatch { .. }));
-    }
-
-    #[test]
-    fn batch_runner_preserves_submission_order() {
-        let e = engine();
-        let matrices: Vec<SlicedMatrix> =
-            [50usize, 150, 100].iter().map(|&n| wheel_matrix(n)).collect();
-        let runner = BatchRunner::new(&e, SchedPolicy::with_arrays(4));
-        let reports = runner.run_all(&matrices).unwrap();
-        let counts: Vec<u64> = reports.iter().map(|r| r.triangles).collect();
-        assert_eq!(counts, vec![49, 149, 99]);
-    }
-
-    #[test]
-    fn batch_and_single_runs_agree() {
-        let e = engine();
-        let m = wheel_matrix(200);
-        let runner = BatchRunner::new(&e, SchedPolicy::with_arrays(4));
-        let single = runner.run(&m).unwrap();
-        let batch = runner.run_all(std::slice::from_ref(&m)).unwrap();
-        assert_eq!(single.triangles, batch[0].triangles);
-        assert_eq!(single.stats, batch[0].stats);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Multi-array scheduling: place a skewed graph's rows onto independent
-//! computational arrays, compare placement policies, and batch several
-//! graphs through the runtime.
+//! computational arrays, compare placement policies, and run several
+//! graphs through one pipeline.
 //!
 //! Run with:
 //! ```text
@@ -8,11 +8,26 @@
 //! ```
 
 use tcim_repro::graph::generators::{barabasi_albert, road_grid};
-use tcim_repro::sched::{BatchRunner, PlacementPolicy, SchedPolicy};
-use tcim_repro::tcim::{baseline, TcimAccelerator, TcimConfig};
+use tcim_repro::graph::CsrGraph;
+use tcim_repro::sched::{PlacementPolicy, SchedPolicy, ScheduledReport};
+use tcim_repro::tcim::{baseline, Backend, BackendDetail, TcimConfig, TcimPipeline};
+
+/// Prepares `g` (cached by the pipeline) and runs it on the scheduled
+/// multi-array backend under `policy`.
+fn scheduled(
+    pipeline: &TcimPipeline,
+    g: &CsrGraph,
+    policy: SchedPolicy,
+) -> Result<ScheduledReport, Box<dyn std::error::Error>> {
+    let report = pipeline.execute(&pipeline.prepare(g), &Backend::ScheduledPim(policy))?;
+    let BackendDetail::ScheduledPim(sched) = report.detail else {
+        unreachable!("the scheduled PIM backend returns a scheduled report")
+    };
+    Ok(*sched)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let accelerator = TcimAccelerator::new(&TcimConfig::default())?;
+    let pipeline = TcimPipeline::new(&TcimConfig::default())?;
 
     // --- Part 1: one skewed graph, three placement policies ----------
     let graph = barabasi_albert(3000, 8, 7)?;
@@ -26,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for placement in PlacementPolicy::ALL {
         let policy = SchedPolicy::with_arrays(8).placement(placement);
-        let report = accelerator.count_triangles_scheduled(&graph, &policy)?;
+        let report = scheduled(&pipeline, &graph, policy)?;
         assert_eq!(report.triangles, expected, "scheduling never changes counts");
         println!(
             "  {placement:>13} x8: critical path {:.3e} s, imbalance {:.3}, \
@@ -39,8 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Part 2: per-array utilization under the default policy ------
-    let report =
-        accelerator.count_triangles_scheduled(&graph, &SchedPolicy::with_arrays(8))?;
+    let report = scheduled(&pipeline, &graph, SchedPolicy::with_arrays(8))?;
     println!("\n== per-array utilization (load-balanced, 8 arrays) ==");
     for array in &report.per_array {
         println!(
@@ -53,15 +67,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // --- Part 3: a batch of independent jobs --------------------------
-    println!("\n== batch: three graphs through BatchRunner ==");
-    let matrices = vec![
-        accelerator.compress(&barabasi_albert(1500, 6, 1)?),
-        accelerator.compress(&road_grid(25, 25, 0.9, 0.3, 2)?),
-        accelerator.compress(&barabasi_albert(800, 4, 3)?),
+    // --- Part 3: several independent graphs ---------------------------
+    println!("\n== three graphs through one pipeline ==");
+    let graphs = [
+        barabasi_albert(1500, 6, 1)?,
+        road_grid(25, 25, 0.9, 0.3, 2)?,
+        barabasi_albert(800, 4, 3)?,
     ];
-    let runner = BatchRunner::new(accelerator.engine(), SchedPolicy::with_arrays(4));
-    for (i, job) in runner.run_all(&matrices)?.iter().enumerate() {
+    for (i, g) in graphs.iter().enumerate() {
+        let job = scheduled(&pipeline, g, SchedPolicy::with_arrays(4))?;
+        assert_eq!(job.triangles, baseline::edge_iterator_merge(g));
         println!(
             "  job {i}: {} triangles, critical path {:.3e} s, imbalance {:.3}",
             job.triangles, job.critical_path_s, job.imbalance

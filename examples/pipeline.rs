@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // re-sliced.
     println!("\n== amortization across repeated queries ==");
     for _ in 0..4 {
-        pipeline.count(&graph, &Backend::SerialPim)?;
+        pipeline.execute(&pipeline.prepare(&graph), &Backend::SerialPim)?;
     }
     println!(
         "cache after 4 repeated counts: {} hit(s), {} miss(es)",

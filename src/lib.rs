@@ -152,7 +152,8 @@ mod tests {
                 tcim_bitmatrix::SlicedMatrixBuilder::new(4, tcim_bitmatrix::SliceSize::S64);
             b.add_edge(0, 1)?; // BitMatrixError
             let pipeline = tcim_core::TcimPipeline::new(&tcim_core::TcimConfig::default())?; // CoreError
-            let report = pipeline.count(&g, &tcim_core::Backend::CpuMerge)?;
+            let report =
+                pipeline.execute(&pipeline.prepare(&g), &tcim_core::Backend::CpuMerge)?;
             let mut dynamic =
                 tcim_stream::DynamicGraph::new(&g, tcim_stream::StreamConfig::default())?; // StreamError
             dynamic.apply(tcim_stream::Update::Insert(0, 49)).ok();

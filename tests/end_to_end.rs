@@ -2,14 +2,13 @@
 //! agree on every graph family, end to end.
 
 use tcim_repro::bitmatrix::popcount::PopcountMethod;
-use tcim_repro::bitmatrix::{BitMatrix, SliceSize};
+use tcim_repro::bitmatrix::BitMatrix;
 use tcim_repro::graph::datasets::TABLE_II;
 use tcim_repro::graph::generators::{
     barabasi_albert, classic, gnm, rmat, road_grid, watts_strogatz, RmatParams,
 };
 use tcim_repro::graph::{CsrGraph, Orientation};
-use tcim_repro::tcim::software::sliced_software_tc;
-use tcim_repro::tcim::{baseline, TcimAccelerator, TcimConfig};
+use tcim_repro::tcim::{baseline, Backend, TcimConfig, TcimPipeline};
 
 /// Counts with every implemented method and asserts unanimity.
 fn assert_all_paths_agree(g: &CsrGraph, label: &str) -> u64 {
@@ -19,14 +18,17 @@ fn assert_all_paths_agree(g: &CsrGraph, label: &str) -> u64 {
     assert_eq!(baseline::parallel_edge_iterator(g, 4), reference, "{label}: parallel");
 
     for orientation in [Orientation::Natural, Orientation::Degree, Orientation::Degeneracy] {
-        let run = sliced_software_tc(g, SliceSize::S64, orientation, PopcountMethod::Lut8)
-            .expect("software path runs");
+        let pipeline = TcimPipeline::new(&TcimConfig { orientation, ..TcimConfig::default() })
+            .expect("config characterizes");
+        let prepared = pipeline.prepare(g);
+        let software = Backend::Software(PopcountMethod::Lut8);
+        let run = pipeline.execute(&prepared, &software).expect("software path runs");
         assert_eq!(run.triangles, reference, "{label}: software {orientation:?}");
+        if orientation == Orientation::Natural {
+            let run = pipeline.execute(&prepared, &Backend::SerialPim).expect("tcim runs");
+            assert_eq!(run.triangles, reference, "{label}: tcim");
+        }
     }
-
-    let acc =
-        TcimAccelerator::new(&TcimConfig::default()).expect("default config characterizes");
-    assert_eq!(acc.count_triangles(g).triangles, reference, "{label}: tcim");
 
     // Dense verification is only affordable on small graphs.
     if g.vertex_count() <= 400 {

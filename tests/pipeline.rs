@@ -1,5 +1,5 @@
 //! Cross-crate pipeline properties: for every backend × orientation ×
-//! graph family, prepare-once/execute-many equals the one-shot path and
+//! graph family, prepare-once/execute-many equals re-preparing per call and
 //! all backends agree on the triangle count.
 
 use proptest::prelude::*;
@@ -29,7 +29,7 @@ fn test_graphs() -> Vec<(&'static str, CsrGraph)> {
 
 /// The acceptance grid: every backend × orientation × {fig2, wheel, ER,
 /// BA, R-MAT, Watts–Strogatz}. A second execution of the same prepared
-/// artifact and the one-shot `count` path must all equal the
+/// artifact and a re-prepared execution must all equal the
 /// graph-level baseline.
 #[test]
 fn every_backend_orientation_and_family_agrees() {
@@ -42,7 +42,7 @@ fn every_backend_orientation_and_family_agrees() {
                 let name = spec.label();
                 let first = p.execute(&prepared, &spec).unwrap();
                 let second = p.execute(&prepared, &spec).unwrap();
-                let one_shot = p.count(&g, &spec).unwrap();
+                let one_shot = p.execute(&p.prepare(&g), &spec).unwrap();
                 assert_eq!(
                     first.triangles, expected,
                     "{label} {orientation:?} {name}: prepared execution"
@@ -53,7 +53,7 @@ fn every_backend_orientation_and_family_agrees() {
                 );
                 assert_eq!(
                     one_shot.triangles, expected,
-                    "{label} {orientation:?} {name}: one-shot path"
+                    "{label} {orientation:?} {name}: re-prepared execution"
                 );
                 // Work statistics are deterministic across executions of
                 // one artifact.
@@ -63,8 +63,8 @@ fn every_backend_orientation_and_family_agrees() {
     }
 }
 
-/// The one-shot `count` calls above must have hit the cache (same
-/// graph), never rebuilding the artifact.
+/// Re-preparing before each execution, as above, must hit the cache
+/// (same graph), never rebuilding the artifact.
 #[test]
 fn one_shot_counts_reuse_the_prepared_artifact() {
     let p = pipeline(Orientation::Natural);
@@ -72,7 +72,7 @@ fn one_shot_counts_reuse_the_prepared_artifact() {
     let prepared = p.prepare(&g);
     assert_eq!(p.cache().misses(), 1);
     for spec in Backend::default_suite() {
-        p.count(&g, &spec).unwrap();
+        p.execute(&p.prepare(&g), &spec).unwrap();
     }
     // Five counts → five cache hits, zero further misses.
     assert_eq!(p.cache().misses(), 1);
@@ -97,9 +97,9 @@ fn pipeline_metrics_mirror_report_and_cache_accounting() {
         kernels += report.kernel.kernel_invocations;
         pairs += report.kernel.slice_pairs;
         executions += 1;
-        // The one-shot path routes through the same instrumented
-        // execute, so it counts too (and hits the prepared cache).
-        let one_shot = p.count(&g, &spec).unwrap();
+        // The re-prepared execution routes through the same
+        // instrumented execute, so it counts too (and hits the cache).
+        let one_shot = p.execute(&p.prepare(&g), &spec).unwrap();
         kernels += one_shot.kernel.kernel_invocations;
         pairs += one_shot.kernel.slice_pairs;
         executions += 1;
@@ -109,8 +109,8 @@ fn pipeline_metrics_mirror_report_and_cache_accounting() {
     assert_eq!(snap.counter("tcim_executions_total"), Some(executions));
     assert_eq!(snap.counter("tcim_kernel_invocations_total"), Some(kernels));
     assert_eq!(snap.counter("tcim_slice_pairs_total"), Some(pairs));
-    // One explicit prepare → one build and one miss; the five `count`
-    // calls above all hit (the same pins as the cache test).
+    // One explicit prepare → one build and one miss; the five
+    // re-prepares above all hit (the same pins as the cache test).
     assert_eq!(snap.counter("tcim_prepared_builds_total"), Some(1));
     assert_eq!(snap.counter("tcim_prepared_cache_misses_total"), Some(p.cache().misses()));
     assert_eq!(snap.counter("tcim_prepared_cache_hits_total"), Some(p.cache().hits()));

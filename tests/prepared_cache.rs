@@ -1,14 +1,13 @@
 //! Acceptance proof for the prepared-graph cache: a second execution on
-//! a cached `PreparedGraph` performs **no re-slicing** — the
-//! `tcim-bitmatrix` build counter and the slice statistics are
-//! unchanged.
-//!
-//! This file holds a single test on purpose: the slicing build counter
-//! is process-global, so the proof lives in its own integration-test
-//! binary where no concurrent test can build matrices.
+//! a cached `PreparedGraph` performs **no re-slicing** — the builds a
+//! `BuildScope` entered by the test counts and the slice statistics are
+//! unchanged. The scope counts only this test's builds (and those of
+//! the workers it fans out to), so tests running on parallel threads
+//! cannot disturb the pin.
 
 use std::sync::Arc;
 
+use tcim_repro::bitmatrix::BuildScope;
 use tcim_repro::graph::generators::gnm;
 use tcim_repro::tcim::{Backend, TcimConfig, TcimPipeline};
 
@@ -16,17 +15,19 @@ use tcim_repro::tcim::{Backend, TcimConfig, TcimPipeline};
 fn cached_prepared_graph_is_never_resliced() {
     let pipeline = TcimPipeline::new(&TcimConfig::default()).unwrap();
     let g = gnm(300, 2200, 19).unwrap();
+    let builds = BuildScope::new();
+    let _counting = builds.enter();
 
     // First preparation slices exactly once.
-    let builds_before_prepare = tcim_bitmatrix::matrices_built();
+    let builds_before_prepare = builds.builds();
     let prepared = pipeline.prepare(&g);
-    assert_eq!(tcim_bitmatrix::matrices_built(), builds_before_prepare + 1);
+    assert_eq!(builds.builds(), builds_before_prepare + 1);
     let stats = prepared.slice_stats();
     let pricing = prepared.pricing();
 
     // Execute the full backend suite twice over the cached artifact:
     // no backend, planner or popcount path may slice anything.
-    let builds_after_prepare = tcim_bitmatrix::matrices_built();
+    let builds_after_prepare = builds.builds();
     let mut counts = Vec::new();
     for round in 0..2 {
         let again = pipeline.prepare(&g);
@@ -38,11 +39,7 @@ fn cached_prepared_graph_is_never_resliced() {
             counts.push(pipeline.execute(&again, &spec).unwrap().triangles);
         }
     }
-    assert_eq!(
-        tcim_bitmatrix::matrices_built(),
-        builds_after_prepare,
-        "execution must not re-slice"
-    );
+    assert_eq!(builds.builds(), builds_after_prepare, "execution must not re-slice");
 
     // Work counters of the artifact are untouched…
     assert_eq!(prepared.slice_stats(), stats);

@@ -4,18 +4,21 @@
 //! patched rows), while exceeding the threshold triggers exactly one
 //! rebuild that lands in the pipeline's `PreparedCache`.
 //!
-//! This file holds a single test on purpose: the slicing build counter
-//! is process-global, so the proof lives in its own integration-test
-//! binary where no concurrent test can build matrices.
+//! Builds are counted by a `BuildScope` the test enters, which follows
+//! the work onto the workers it fans out to and ignores builds made by
+//! tests running on parallel threads.
 
 use std::sync::Arc;
 
+use tcim_repro::bitmatrix::BuildScope;
 use tcim_repro::graph::generators::gnm;
 use tcim_repro::stream::{DriftPolicy, DynamicGraph, StreamConfig, Update, UpdateBatch};
 
 #[test]
 fn deltas_never_reslice_and_drift_triggers_exactly_one_rebuild() {
     let g = gnm(200, 1200, 31).unwrap();
+    let builds = BuildScope::new();
+    let _counting = builds.enter();
     let config = StreamConfig {
         drift: DriftPolicy {
             // 200 vertices: trip the fold once more than 25% of the
@@ -29,9 +32,9 @@ fn deltas_never_reslice_and_drift_triggers_exactly_one_rebuild() {
     };
 
     // Construction prepares (slices) the epoch-0 artifact exactly once.
-    let before_new = tcim_bitmatrix::matrices_built();
+    let before_new = builds.builds();
     let mut dg = DynamicGraph::new(&g, config).unwrap();
-    assert_eq!(tcim_bitmatrix::matrices_built(), before_new + 1);
+    assert_eq!(builds.builds(), before_new + 1);
     assert_eq!(dg.pipeline().cache().len(), 1);
 
     // A small batch (touches ≤ 20 rows out of 200) stays below the
@@ -40,12 +43,12 @@ fn deltas_never_reslice_and_drift_triggers_exactly_one_rebuild() {
     for v in 0..10u32 {
         small.push(Update::Insert(2 * v, 2 * v + 1));
     }
-    let before_small = tcim_bitmatrix::matrices_built();
+    let before_small = builds.builds();
     let outcome = dg.apply_batch(&small).unwrap();
     assert!(outcome.applied() > 0, "the batch did real work");
     assert!(!outcome.folded, "below the drift threshold");
     assert_eq!(
-        tcim_bitmatrix::matrices_built(),
+        builds.builds(),
         before_small,
         "sub-threshold batches must not build any SlicedMatrix"
     );
@@ -58,15 +61,11 @@ fn deltas_never_reslice_and_drift_triggers_exactly_one_rebuild() {
     for v in 20..80u32 {
         wide.push(Update::Insert(v, v + 100));
     }
-    let before_wide = tcim_bitmatrix::matrices_built();
+    let before_wide = builds.builds();
     let misses_before = dg.pipeline().cache().misses();
     let outcome = dg.apply_batch(&wide).unwrap();
     assert!(outcome.folded, "above the drift threshold");
-    assert_eq!(
-        tcim_bitmatrix::matrices_built(),
-        before_wide + 1,
-        "the fold rebuilds exactly one SlicedMatrix"
-    );
+    assert_eq!(builds.builds(), before_wide + 1, "the fold rebuilds exactly one SlicedMatrix");
     assert_eq!(dg.epoch(), 1);
     assert_eq!(dg.report().rebuilds, 1);
     // …and the artifact landed in the cache: one miss (the build), and
@@ -77,7 +76,7 @@ fn deltas_never_reslice_and_drift_triggers_exactly_one_rebuild() {
     let again = dg.pipeline().prepare(&dg.snapshot());
     assert!(Arc::ptr_eq(dg.prepared(), &again));
     assert_eq!(dg.pipeline().cache().hits(), hits_before + 1);
-    assert_eq!(tcim_bitmatrix::matrices_built(), before_wide + 1, "the hit resliced nothing");
+    assert_eq!(builds.builds(), before_wide + 1, "the hit resliced nothing");
 
     // The drift measure reset after the fold.
     assert_eq!(dg.drift().touched_rows, 0);
