@@ -91,6 +91,8 @@
 #![deny(missing_docs)]
 
 pub mod ablations;
+#[cfg(test)]
+mod accelerator;
 pub mod backend;
 pub mod baseline;
 pub mod coalesce;

